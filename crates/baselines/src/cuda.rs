@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::Arc;
 use vgpu::{
-    Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Platform, Program,
-    Result, Scalar, WorkGroup,
+    After, Buffer, CommandQueue, CompiledKernel, DriverProfile, KernelBody, NDRange, Platform,
+    Program, Region, Result, Scalar, WorkGroup,
 };
 
 /// The CUDA "current device" state: one runtime handle per host thread in
@@ -73,13 +73,15 @@ impl CudaRuntime {
 
     /// `cudaMemcpy(..., cudaMemcpyHostToDevice)`.
     pub fn memcpy_h2d<T: Scalar>(&self, dst: &CudaDevPtr<T>, src: &[T]) -> Result<()> {
-        self.queues[dst.buffer.device().0].enqueue_write(&dst.buffer, src)?;
+        let q = &self.queues[dst.buffer.device().0];
+        q.enqueue_write(&dst.buffer, Region::Whole, src, 1, After::Device)?;
         Ok(())
     }
 
     /// `cudaMemcpy(..., cudaMemcpyDeviceToHost)`.
     pub fn memcpy_d2h<T: Scalar>(&self, dst: &mut [T], src: &CudaDevPtr<T>) -> Result<()> {
-        self.queues[src.buffer.device().0].enqueue_read(&src.buffer, dst)?;
+        let q = &self.queues[src.buffer.device().0];
+        q.enqueue_read(&src.buffer, Region::Whole, dst, 1, true, After::Device)?;
         Ok(())
     }
 
@@ -91,7 +93,8 @@ impl CudaRuntime {
         offset: usize,
         src: &[T],
     ) -> Result<()> {
-        self.queues[dst.buffer.device().0].enqueue_write_range(&dst.buffer, offset, src, 1)?;
+        let q = &self.queues[dst.buffer.device().0];
+        q.enqueue_write(&dst.buffer, Region::At(offset), src, 1, After::Device)?;
         Ok(())
     }
 
@@ -102,19 +105,14 @@ impl CudaRuntime {
         src: &CudaDevPtr<T>,
         offset: usize,
     ) -> Result<()> {
-        self.queues[src.buffer.device().0].enqueue_read_range(&src.buffer, offset, dst, 1, true)?;
-        Ok(())
-    }
-
-    /// `cudaMemcpyPeer` (staged through the host on pre-UVA hardware).
-    pub fn memcpy_d2d<T: Scalar>(&self, dst: &CudaDevPtr<T>, src: &CudaDevPtr<T>) -> Result<()> {
-        self.platform.copy_d2d(&src.buffer, &dst.buffer, 1)?;
+        let q = &self.queues[src.buffer.device().0];
+        q.enqueue_read(&src.buffer, Region::At(offset), dst, 1, true, After::Device)?;
         Ok(())
     }
 
     /// `cudaMemset`-ish fill.
     pub fn memset<T: Scalar>(&self, dst: &CudaDevPtr<T>, v: T) -> Result<()> {
-        self.queues[dst.buffer.device().0].enqueue_fill(&dst.buffer, v)?;
+        self.queues[dst.buffer.device().0].enqueue_fill(&dst.buffer, v, After::Device)?;
         Ok(())
     }
 
@@ -158,7 +156,8 @@ impl CudaRuntime {
         let args = Arc::new(args);
         let body = Arc::clone(&kernel.body);
         let bound: KernelBody = Arc::new(move |wg: &WorkGroup| body(wg, &args));
-        self.queue().launch(&kernel.compiled.with_body(bound), nd)?;
+        self.queue()
+            .launch(&kernel.compiled.with_body(bound), nd, After::Device)?;
         Ok(())
     }
 }
@@ -260,7 +259,7 @@ impl CudaModule {
         let program = Program::from_source(name, source);
         let placeholder: KernelBody =
             Arc::new(|_wg: &WorkGroup| unreachable!("module kernel body is bound at launch"));
-        let compiled = self.runtime_queue.build_kernel(&program, placeholder)?;
+        let (compiled, _) = self.runtime_queue.build_kernel(&program, placeholder)?;
         Ok(CudaKernel { compiled, body })
     }
 }

@@ -20,7 +20,7 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("build_from_source", |b| {
         b.iter(|| {
             platform.compiler().clear_cache().unwrap();
-            let (k, outcome) = queue.build_kernel_traced(&program, body.clone()).unwrap();
+            let (k, outcome) = queue.build_kernel(&program, body.clone()).unwrap();
             assert!(!outcome.from_cache);
             k
         })
@@ -28,10 +28,10 @@ fn bench_cache(c: &mut Criterion) {
 
     // Populate once, then measure pure cache loads.
     platform.compiler().clear_cache().unwrap();
-    queue.build_kernel_traced(&program, body.clone()).unwrap();
+    queue.build_kernel(&program, body.clone()).unwrap();
     group.bench_function("load_from_cache", |b| {
         b.iter(|| {
-            let (k, outcome) = queue.build_kernel_traced(&program, body.clone()).unwrap();
+            let (k, outcome) = queue.build_kernel(&program, body.clone()).unwrap();
             assert!(outcome.from_cache);
             k
         })

@@ -7,9 +7,10 @@
 //! cargo run --release -p skelcl-bench --bin figures -- dot | cache | lazy | overhead
 //! ```
 //!
-//! Virtual (modeled) seconds are reported; see DESIGN.md section 2 for why
-//! absolute values differ from the paper's wall-clock numbers while the
-//! comparative shapes are expected to match.
+//! Virtual (modeled) seconds are reported (see the README's *Perf ledger
+//! and regression gating* section), so absolute values differ from the
+//! paper's wall-clock numbers while the comparative shapes are expected to
+//! match.
 
 use skelcl_bench::*;
 use skelcl_loc::render_table;

@@ -1,7 +1,7 @@
 //! # skelcl-bench — the experiment harness
 //!
-//! One runner function per paper artifact (see DESIGN.md's experiment
-//! index). The `figures` binary prints paper-style tables; the Criterion
+//! One runner function per paper artifact (the README's *Layout* table
+//! lists the figures in its `crates/bench` row). The `figures` binary prints paper-style tables; the Criterion
 //! benches reuse the same runners with `iter_custom`, reporting *virtual*
 //! (modeled) seconds so results are host-machine independent.
 
@@ -432,11 +432,9 @@ pub fn run_cache_experiment() -> CacheResult {
     );
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
 
-    let (_, first) = queue
-        .build_kernel_traced(&program, body.clone())
-        .expect("build");
+    let (_, first) = queue.build_kernel(&program, body.clone()).expect("build");
     assert!(!first.from_cache);
-    let (_, second) = queue.build_kernel_traced(&program, body).expect("rebuild");
+    let (_, second) = queue.build_kernel(&program, body).expect("rebuild");
     assert!(second.from_cache);
     platform.compiler().clear_cache().expect("clear cache");
     CacheResult {
@@ -970,11 +968,9 @@ pub fn run_stencil_cache_experiment() -> CacheResult {
     );
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
 
-    let (_, first) = queue
-        .build_kernel_traced(&program, body.clone())
-        .expect("build");
+    let (_, first) = queue.build_kernel(&program, body.clone()).expect("build");
     assert!(!first.from_cache);
-    let (_, second) = queue.build_kernel_traced(&program, body).expect("rebuild");
+    let (_, second) = queue.build_kernel(&program, body).expect("rebuild");
     assert!(second.from_cache);
     platform.compiler().clear_cache().expect("clear cache");
     CacheResult {

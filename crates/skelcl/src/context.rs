@@ -1,7 +1,7 @@
 //! The SkelCL context: the paper's `SkelCL::init()`.
 //!
 //! A [`Context`] owns **two** command queues per device — the main queue
-//! carrying kernels and legacy transfers, and a dedicated *copy stream*
+//! carrying kernels and device-serializing transfers, and a *copy stream*
 //! ([`Context::copy_queue`]) the overlapped paths issue asynchronous
 //! transfers on, so halo exchanges and chunked uploads run on the device's
 //! copy engine underneath kernels on the compute engine — plus an in-memory
@@ -434,8 +434,8 @@ impl Context {
     /// The dedicated copy stream of device `i` — the queue the overlapped
     /// halo exchange and the streamed uploads issue async transfers on.
     /// Separate from [`Context::queue`], so a transfer here is not ordered
-    /// behind kernels already enqueued on the main queue (only its
-    /// `wait_for` events order it).
+    /// behind kernels already enqueued on the main queue (only the events
+    /// of its `After::Events` policy order it).
     pub fn copy_queue(&self, i: usize) -> &CommandQueue {
         &self.inner.copy_queues[i]
     }
@@ -528,7 +528,7 @@ impl Context {
         let placeholder: KernelBody = Arc::new(|_wg: &WorkGroup| {
             unreachable!("placeholder kernel body must be rebound before launch")
         });
-        let kernel = self.inner.queues[0]
+        let (kernel, _) = self.inner.queues[0]
             .build_kernel(program, placeholder)
             .map_err(Error::Platform)?;
         let evicted = self

@@ -91,7 +91,7 @@
 //! start = max(queue-ready, dependency-ready, engine-availability, enqueue time)
 //! ```
 //!
-//! with first-class events (`wait_for: &[vgpu::Event]`) expressing
+//! with first-class events (`vgpu::After::Events(&[vgpu::Event])`) expressing
 //! cross-stream dependencies — OpenCL's own answer to transfer/compute
 //! overlap, expressed through events and multiple command queues. A halo
 //! exchange issued on the copy stream therefore genuinely runs *under* an

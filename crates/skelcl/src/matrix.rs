@@ -28,7 +28,7 @@ use crate::context::Context;
 use crate::error::{Error, Result};
 use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
 use std::sync::Arc;
-use vgpu::{Buffer, Event, Scalar};
+use vgpu::{After, Buffer, Event, Region, Scalar};
 
 /// How a matrix's rows are laid out across the context's devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,7 @@ impl<T: Scalar> MatrixPart<T> {
 /// One chunk of a streamed part upload: span rows
 /// `[span_start, span_start + span_len)` of the part's buffer hold valid
 /// data once `event` completes on the device's copy engine. A consumer
-/// kernel reading those rows passes `event` in its `wait_for` list; rows
+/// kernel reading those rows waits for `event` (`After::Events`); rows
 /// not yet covered by any chunk are still in flight.
 #[derive(Clone)]
 pub(crate) struct UploadChunk {
@@ -130,8 +130,8 @@ struct State<T: Scalar> {
     parts: Vec<MatrixPart<T>>,
     /// Per part: the chunk events of a streamed upload (empty for blocking
     /// uploads and device-born matrices). Consumed by the streamed skeleton
-    /// paths; conservative consumers may ignore it — their legacy launches
-    /// wait for the whole device anyway.
+    /// paths; other consumers may ignore it — their device-serializing
+    /// launches wait for the whole device anyway.
     upload_chunks: Vec<Vec<UploadChunk>>,
     /// The platform clock epoch the chunks were recorded under: a
     /// `reset_clocks` between upload and consumption invalidates the
@@ -388,12 +388,13 @@ impl<T: Scalar> Matrix<T> {
                 if !out.is_empty() {
                     let q = self.ctx.copy_queue(part.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
+                    let ev = q.enqueue_read(
                         &part.buffer,
-                        part.halo_above * cols,
+                        Region::At(part.halo_above * cols),
                         &mut out,
                         1,
-                        &dep,
+                        false,
+                        After::Events(&dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
@@ -406,12 +407,13 @@ impl<T: Scalar> Matrix<T> {
                     }
                     let q = self.ctx.copy_queue(p.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
+                    let ev = q.enqueue_read(
                         &p.buffer,
-                        p.halo_above * cols,
+                        Region::At(p.halo_above * cols),
                         &mut out[p.row_offset * cols..(p.row_offset + p.rows) * cols],
                         concurrent,
-                        &dep,
+                        false,
+                        After::Events(&dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
@@ -426,12 +428,13 @@ impl<T: Scalar> Matrix<T> {
                     let dep = [q.enqueue_marker()];
                     let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
                     for r in 0..p.rows {
-                        let ev = q.enqueue_read_range_async(
+                        let ev = q.enqueue_read(
                             &p.buffer,
-                            r * p.cols,
+                            Region::At(r * p.cols),
                             &mut out[r * cols + c0..r * cols + c1],
                             concurrent,
-                            &dep,
+                            false,
+                            After::Events(&dep),
                         )?;
                         ready = ready.max(ev.end_s);
                     }
@@ -645,11 +648,12 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
         if part.rows > 0 && part.cols > 0 {
             if part.cols == cols {
                 for (s, g, len) in span_runs(&part, st.rows) {
-                    ctx.queue(part.device).enqueue_write_range(
+                    ctx.queue(part.device).enqueue_write(
                         &part.buffer,
-                        s * cols,
+                        Region::At(s * cols),
                         &st.host[g * cols..(g + len) * cols],
                         concurrent,
+                        After::Device,
                     )?;
                 }
             } else {
@@ -657,11 +661,12 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
                 let c1 = c0 + part.cols;
                 for s in 0..part.span_rows() {
                     let g = part.global_row(s, st.rows);
-                    ctx.queue(part.device).enqueue_write_range(
+                    ctx.queue(part.device).enqueue_write(
                         &part.buffer,
-                        s * part.cols,
+                        Region::At(s * part.cols),
                         &st.host[g * cols + c0..g * cols + c1],
                         concurrent,
+                        After::Device,
                     )?;
                 }
             }
@@ -729,12 +734,12 @@ fn ensure_on_devices_streamed<T: Scalar>(
                 let mut done = 0;
                 while done < len {
                     let n = chunk_rows.min(len - done);
-                    let event = queue.enqueue_write_range_async(
+                    let event = queue.enqueue_write(
                         &part.buffer,
-                        (s + done) * cols,
+                        Region::At((s + done) * cols),
                         &st.host[(g + done) * cols..(g + done + n) * cols],
                         concurrent,
-                        &[],
+                        After::Events(&[]),
                     )?;
                     chunks.push(UploadChunk {
                         span_start: s + done,
@@ -774,8 +779,14 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
             let mut tmp = vec![T::default(); part.rows * cols];
             if !tmp.is_empty() {
-                ctx.queue(part.device)
-                    .enqueue_read_range(&part.buffer, 0, &mut tmp, 1, true)?;
+                ctx.queue(part.device).enqueue_read(
+                    &part.buffer,
+                    Region::At(0),
+                    &mut tmp,
+                    1,
+                    true,
+                    After::Device,
+                )?;
             }
             st.host = tmp;
         }
@@ -786,12 +797,13 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 if p.rows == 0 || cols == 0 {
                     continue;
                 }
-                ctx.queue(p.device).enqueue_read_range(
+                ctx.queue(p.device).enqueue_read(
                     &p.buffer,
-                    p.halo_above * cols,
+                    Region::At(p.halo_above * cols),
                     &mut st.host[p.row_offset * cols..(p.row_offset + p.rows) * cols],
                     concurrent,
                     false,
+                    After::Device,
                 )?;
             }
             ctx.sync();
@@ -807,12 +819,13 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 }
                 let (c0, c1) = (p.col_offset, p.col_offset + p.cols);
                 for r in 0..p.rows {
-                    ctx.queue(p.device).enqueue_read_range(
+                    ctx.queue(p.device).enqueue_read(
                         &p.buffer,
-                        r * p.cols,
+                        Region::At(r * p.cols),
                         &mut st.host[r * cols + c0..r * cols + c1],
                         concurrent,
                         false,
+                        After::Device,
                     )?;
                 }
             }
@@ -872,13 +885,14 @@ fn fill_span_row_from_owners<T: Scalar>(
         let src_off = src_span_row * src.cols + (c - src.col_offset);
         let dst_off = s * dst.cols + (c - dst.col_offset);
         if !(src.buffer.same_allocation(&dst.buffer) && src_off == dst_off) {
-            ctx.platform().copy_d2d_range(
+            ctx.platform().copy(
                 &src.buffer,
                 src_off,
                 &dst.buffer,
                 dst_off,
                 w,
                 concurrent,
+                After::Device,
             )?;
         }
         c += w;
@@ -896,8 +910,7 @@ fn fill_span_row_from_owners<T: Scalar>(
 /// producer events of its source *and* destination devices (the
 /// destination's events also fence the write-after-read hazard against the
 /// previous round's readers of the halo region) and its event is appended
-/// to `out_events`. With `None`, the legacy device-serializing copies are
-/// issued.
+/// to `out_events`. With `None`, the copies are device-serializing.
 fn fill_rows_from_owners<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
@@ -921,33 +934,24 @@ fn fill_rows_from_owners<T: Scalar>(
             if src.device != dst.device {
                 cross += 1;
             }
-            match overlap.as_mut() {
-                None => {
-                    ctx.platform().copy_d2d_range(
-                        &src.buffer,
-                        src_span_row * cols,
-                        &dst.buffer,
-                        s * cols,
-                        run * cols,
-                        concurrent,
-                    )?;
+            let deps: Option<Vec<Event>> = overlap.as_ref().map(|(deps_by_device, _)| {
+                let mut deps = deps_by_device[src.device].clone();
+                if src.device != dst.device {
+                    deps.extend_from_slice(&deps_by_device[dst.device]);
                 }
-                Some((deps_by_device, out_events)) => {
-                    let mut deps = deps_by_device[src.device].clone();
-                    if src.device != dst.device {
-                        deps.extend_from_slice(&deps_by_device[dst.device]);
-                    }
-                    let ev = ctx.platform().copy_d2d_range_async(
-                        &src.buffer,
-                        src_span_row * cols,
-                        &dst.buffer,
-                        s * cols,
-                        run * cols,
-                        concurrent,
-                        &deps,
-                    )?;
-                    out_events.push(ev);
-                }
+                deps
+            });
+            let ev = ctx.platform().copy(
+                &src.buffer,
+                src_span_row * cols,
+                &dst.buffer,
+                s * cols,
+                run * cols,
+                concurrent,
+                deps.as_deref().map_or(After::Device, After::Events),
+            )?;
+            if let Some((_, out_events)) = overlap.as_mut() {
+                out_events.push(ev);
             }
         }
         s += run;
@@ -997,7 +1001,7 @@ pub(crate) fn exchange_part_halos<T: Scalar>(
 /// refreshed (one exchange *event*, counted by the caller exactly like the
 /// serial exchange — issuing on the copy stream must not change the count)
 /// and, per part, the copy events that wrote into that part's halos — the
-/// `wait_for` list of the next boundary launch reading them.
+/// dependency list of the next boundary launch reading them.
 pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],

@@ -20,7 +20,7 @@ use crate::skeletons::{
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, Program, Scalar as Element};
+use vgpu::{After, KernelBody, Program, Scalar as Element};
 
 /// The unary Map skeleton: `out[i] = f(in[i])`.
 pub struct Map<T: Element, U: Element, F> {
@@ -59,9 +59,9 @@ where
     }
 
     /// Launch the map kernel over elements `[start, start + len)` of one
-    /// part pair — the one body both [`Map::apply`] (full range, legacy
+    /// part pair — the one body both [`Map::apply`] (full range,
     /// device-serializing launch) and [`Map::apply_streamed`] (one range
-    /// per upload chunk, async launch waiting on the chunk's event) bind.
+    /// per upload chunk, launch ordered after the chunk's event) bind.
     #[allow(clippy::too_many_arguments)]
     fn launch_range(
         &self,
@@ -71,7 +71,7 @@ where
         op: &crate::vector::DevicePart<U>,
         start: usize,
         len: usize,
-        dep: Option<vgpu::Event>,
+        after: After<'_>,
     ) -> Result<()> {
         if len == 0 {
             return Ok(());
@@ -94,10 +94,7 @@ where
         });
         let kernel = compiled.with_body(body);
         let nd = linear_range(ctx, len);
-        match dep {
-            None => ctx.queue(ip.device).launch(&kernel, nd)?,
-            Some(ev) => ctx.queue(ip.device).launch_async(&kernel, nd, &[ev])?,
-        };
+        ctx.queue(ip.device).launch(&kernel, nd, after)?;
         Ok(())
     }
 
@@ -114,7 +111,7 @@ where
         let in_parts = input.parts()?;
         let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, None)?;
+            self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, After::Device)?;
         }
         Ok(output_vector(
             &ctx,
@@ -145,7 +142,7 @@ where
         for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
             if chunks.is_empty() {
                 // Already resident, no chunk events: apply's exact launch.
-                self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, None)?;
+                self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, After::Device)?;
             } else {
                 for c in chunks {
                     self.launch_range(
@@ -155,7 +152,7 @@ where
                         op,
                         c.start,
                         c.len,
-                        Some(c.event.clone()),
+                        After::Events(std::slice::from_ref(&c.event)),
                     )?;
                 }
             }
@@ -212,8 +209,11 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(ip.device)
-                .launch(&kernel, range_2d(&ctx, ip.cols, ip.span_rows()))?;
+            ctx.queue(ip.device).launch(
+                &kernel,
+                range_2d(&ctx, ip.cols, ip.span_rows()),
+                After::Device,
+            )?;
         }
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -300,7 +300,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.len), After::Device)?;
         }
         Ok(output_vector(
             &ctx,
@@ -381,7 +381,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.len), After::Device)?;
         }
         Ok(())
     }

@@ -15,7 +15,7 @@ use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::{DevicePart, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, Item, KernelBody, Program, Scalar as Element};
+use vgpu::{After, Buffer, Item, KernelBody, Program, Scalar as Element};
 
 /// What out-of-range neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +105,7 @@ where
             // Build the halo-extended input on this device.
             let ext = ctx.device(ip.device).alloc::<T>(ip.len + 2 * r)?;
             ctx.platform()
-                .copy_on_device(&ip.buffer, 0, &ext, r, ip.len)?;
+                .copy(&ip.buffer, 0, &ext, r, ip.len, 1, After::Device)?;
             self.fill_halo(&ctx, &parts, ip, &ext, n_global)?;
 
             let f = self.user.func().clone();
@@ -132,7 +132,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len))?;
+                .launch(&kernel, linear_range(&ctx, ip.len), After::Device)?;
         }
         Ok(output_vector(
             &ctx,
@@ -172,13 +172,14 @@ where
                         Boundary::Clamp => {
                             let clamped = if g < 0 { 0usize } else { n_global - 1 };
                             let src = part_holding(parts, clamped);
-                            ctx.platform().copy_d2d_range(
+                            ctx.platform().copy(
                                 &src.buffer,
                                 clamped - src.offset,
                                 ext,
                                 ext_idx,
                                 1,
                                 1,
+                                After::Device,
                             )?;
                         }
                     }
@@ -189,8 +190,15 @@ where
                 let g = g as usize;
                 let src = part_holding(parts, g);
                 let run = (src.offset + src.len - g).min(r - k).min(n_global - g);
-                ctx.platform()
-                    .copy_d2d_range(&src.buffer, g - src.offset, ext, ext_idx, run, 1)?;
+                ctx.platform().copy(
+                    &src.buffer,
+                    g - src.offset,
+                    ext,
+                    ext_idx,
+                    run,
+                    1,
+                    After::Device,
+                )?;
                 k += run;
             }
         }

@@ -18,7 +18,7 @@ use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, NDRange, Program, Scalar as Element, WorkGroup};
+use vgpu::{After, KernelBody, NDRange, Program, Region, Scalar as Element, WorkGroup};
 
 /// Fused element-wise combine + reduction:
 /// `mapreduce f ⊕ xs ys = f(x0,y0) ⊕ f(x1,y1) ⊕ ...`.
@@ -175,8 +175,11 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, NDRange::linear(n_groups * wg_size, wg_size))?;
+            ctx.queue(lp.device).launch(
+                &kernel,
+                NDRange::linear(n_groups * wg_size, wg_size),
+                After::Device,
+            )?;
 
             // Remaining passes: plain tree reduction of the partials.
             let mut remaining = n_groups;
@@ -223,14 +226,24 @@ where
                     });
                 });
                 let kernel = compiled.with_body(body);
-                ctx.queue(lp.device)
-                    .launch(&kernel, NDRange::linear(next_groups * wg_size, wg_size))?;
+                ctx.queue(lp.device).launch(
+                    &kernel,
+                    NDRange::linear(next_groups * wg_size, wg_size),
+                    After::Device,
+                )?;
                 partials = next;
                 remaining = next_groups;
             }
 
             let mut v = [U::default()];
-            ctx.queue(lp.device).enqueue_read(&partials, &mut v)?;
+            ctx.queue(lp.device).enqueue_read(
+                &partials,
+                Region::Whole,
+                &mut v,
+                1,
+                true,
+                After::Device,
+            )?;
             acc = g_host(acc, v[0]);
         }
         Ok(Scalar::new(acc, ctx.host_now_s()))
@@ -315,7 +328,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(op.device)
-                .launch(&kernel, linear_range(ctx, op.len))?;
+                .launch(&kernel, linear_range(ctx, op.len), After::Device)?;
         }
         Ok(output_vector(ctx, n, dist, out_parts))
     }

@@ -45,7 +45,7 @@ use crate::meter;
 use crate::skeletons::stencil2d::{alloc_mirror_parts, stale_free, Boundary2D};
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
 use crate::vector::{DevicePart, Distribution, Vector};
-use vgpu::{Item, KernelBody, Scalar as Element};
+use vgpu::{After, Item, KernelBody, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
 /// the generated program's cache key).
@@ -594,7 +594,7 @@ where
         });
         let kernel = compiled.with_body(body);
         ctx.queue(ip.device)
-            .launch(&kernel, range_2d(&ctx, cols, ip.rows))?;
+            .launch(&kernel, range_2d(&ctx, cols, ip.rows), After::Device)?;
     }
     ctx.metrics().counter("skelcl.pipeline.groups").inc();
     ctx.metrics()
@@ -678,6 +678,7 @@ where
             ctx.queue(ip.device).launch(
                 &compiled.with_body(body),
                 range_2d(&ctx, stride, launch_rows),
+                After::Device,
             )?;
         }
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
@@ -763,8 +764,11 @@ where
                         it.work(cols as u64 * static_ops + dyn_ops);
                     });
                 });
-                ctx.queue(p.device)
-                    .launch(&compiled.with_body(body), linear_range(&ctx, fold_rows))?;
+                ctx.queue(p.device).launch(
+                    &compiled.with_body(body),
+                    linear_range(&ctx, fold_rows),
+                    After::Device,
+                )?;
             }
             out_parts.push(DevicePart {
                 device: p.device,

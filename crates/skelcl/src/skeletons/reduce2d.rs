@@ -54,7 +54,7 @@ use crate::skeletons::linear_range;
 use crate::vector::{DevicePart, Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, CompiledKernel, KernelBody, Program, Scalar as Element};
+use vgpu::{After, Buffer, CompiledKernel, KernelBody, Program, Scalar as Element};
 
 /// A (best value, best index) buffer pair — the running state the chained
 /// argbest launches carry across parts.
@@ -73,7 +73,8 @@ fn stage_on<T: Element>(
         return Ok(buf);
     }
     let staged = ctx.device(device).alloc::<T>(len)?;
-    ctx.platform().copy_d2d_range(&buf, 0, &staged, 0, len, 1)?;
+    ctx.platform()
+        .copy(&buf, 0, &staged, 0, len, 1, After::Device)?;
     Ok(staged)
 }
 
@@ -339,8 +340,11 @@ where
             it.traffic_read((seg_len + usize::from(seeded)) * elem_bytes);
         });
     });
-    ctx.queue(device)
-        .launch(&compiled.with_body(body), linear_range(ctx, n_items))?;
+    ctx.queue(device).launch(
+        &compiled.with_body(body),
+        linear_range(ctx, n_items),
+        After::Device,
+    )?;
     Ok(out)
 }
 
@@ -573,8 +577,11 @@ where
                 it.traffic_read((seg_len + 2 * usize::from(seeded)) * elem_bytes);
             });
         });
-        ctx.queue(p.device)
-            .launch(&compiled.with_body(body), linear_range(ctx, n_rows))?;
+        ctx.queue(p.device).launch(
+            &compiled.with_body(body),
+            linear_range(ctx, n_rows),
+            After::Device,
+        )?;
         Ok((out_val, out_idx))
     }
 
@@ -693,8 +700,11 @@ where
                 it.traffic_read((seg_len + 2 * usize::from(seeded)) * elem_bytes);
             });
         });
-        ctx.queue(p.device)
-            .launch(&compiled.with_body(body), linear_range(ctx, n_cols))?;
+        ctx.queue(p.device).launch(
+            &compiled.with_body(body),
+            linear_range(ctx, n_cols),
+            After::Device,
+        )?;
         Ok((out_val, out_idx))
     }
 

@@ -20,7 +20,10 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::local::{conflict_free_index, padded_local_len};
 use vgpu::timing::WARP_SIZE;
-use vgpu::{Buffer, CompiledKernel, KernelBody, NDRange, Program, Scalar as Element, WorkGroup};
+use vgpu::{
+    After, Buffer, CompiledKernel, KernelBody, NDRange, Program, Region, Scalar as Element,
+    WorkGroup,
+};
 
 /// Bank-conflict handling for the local-memory tree phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,12 +164,22 @@ where
 
         let body = self.scan_block_body(input, out.clone(), block_sums.clone(), len, lsize);
         let kernel = compiled.with_body(body);
-        ctx.queue(device)
-            .launch(&kernel, NDRange::linear(n_groups * lsize, lsize))?;
+        ctx.queue(device).launch(
+            &kernel,
+            NDRange::linear(n_groups * lsize, lsize),
+            After::Device,
+        )?;
 
         if n_groups == 1 {
             let mut total = [T::default()];
-            ctx.queue(device).enqueue_read(&block_sums, &mut total)?;
+            ctx.queue(device).enqueue_read(
+                &block_sums,
+                Region::Whole,
+                &mut total,
+                1,
+                true,
+                After::Device,
+            )?;
             return Ok((out, total[0]));
         }
 
@@ -316,7 +329,7 @@ where
         let kernel = compiled.with_body(body);
         let wg_size = ctx.work_group().min(len);
         ctx.queue(device)
-            .launch(&kernel, NDRange::linear(len, wg_size))?;
+            .launch(&kernel, NDRange::linear(len, wg_size), After::Device)?;
         Ok(())
     }
 
@@ -348,7 +361,7 @@ where
         let kernel = compiled.with_body(body);
         let wg_size = ctx.work_group().min(len);
         ctx.queue(device)
-            .launch(&kernel, NDRange::linear(len, wg_size))?;
+            .launch(&kernel, NDRange::linear(len, wg_size), After::Device)?;
         Ok(())
     }
 }

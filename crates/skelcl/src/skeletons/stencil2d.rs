@@ -25,7 +25,7 @@ use crate::meter;
 use crate::skeletons::range_2d;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{Buffer, CompiledKernel, Event, Item, KernelBody, Program, Scalar as Element};
+use vgpu::{After, Buffer, CompiledKernel, Event, Item, KernelBody, Program, Scalar as Element};
 
 /// What out-of-matrix neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,10 +228,10 @@ where
     /// bands into a single launch this way). The input part's halo rows are
     /// assumed coherent for the rows the segments read.
     ///
-    /// `deps = None` issues the legacy device-serializing launch; with
-    /// `Some(events)` the kernel is launched **asynchronously** on the main
-    /// queue, ordered only by the queue, the events, and the compute
-    /// engine. Returns the launch event (`None` when the segments are
+    /// `after` is the launch's dependency policy on the main queue:
+    /// [`After::Device`] serializes against the whole device, while
+    /// [`After::Events`] orders the kernel only by the queue, the events,
+    /// and the compute engine. Returns the launch event (`None` when the segments are
     /// empty). Either way every covered element computes the exact same
     /// value — the split changes the modeled timeline, never the data.
     #[allow(clippy::too_many_arguments)]
@@ -244,7 +244,7 @@ where
         n_rows: usize,
         cols: usize,
         segments: &[(usize, usize)],
-        deps: Option<&[Event]>,
+        after: After<'_>,
     ) -> Result<Option<Event>> {
         let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
         if launch_rows == 0 || cols == 0 {
@@ -296,11 +296,7 @@ where
         });
         let kernel = compiled.with_body(body);
         let nd = range_2d(ctx, cols, launch_rows);
-        let event = match deps {
-            None => ctx.queue(ip.device).launch(&kernel, nd)?,
-            Some(events) => ctx.queue(ip.device).launch_async(&kernel, nd, events)?,
-        };
-        Ok(Some(event))
+        Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, after)?))
     }
 
     /// Launch one stencil pass over every part pair: `src[i]` (halo rows
@@ -316,7 +312,16 @@ where
         cols: usize,
     ) -> Result<()> {
         for (ip, op) in src_parts.iter().zip(dst_parts) {
-            self.launch_part_segments(ctx, compiled, ip, op, n_rows, cols, &[(0, ip.rows)], None)?;
+            self.launch_part_segments(
+                ctx,
+                compiled,
+                ip,
+                op,
+                n_rows,
+                cols,
+                &[(0, ip.rows)],
+                After::Device,
+            )?;
         }
         Ok(())
     }
@@ -403,7 +408,7 @@ where
                     n_rows,
                     cols,
                     &[(0, ip.rows)],
-                    None,
+                    After::Device,
                 )?;
                 continue;
             }
@@ -421,7 +426,7 @@ where
                     n_rows,
                     cols,
                     &[(start, len)],
-                    Some(&deps),
+                    After::Events(&deps),
                 )?;
                 start += len;
             }
@@ -596,7 +601,7 @@ where
                             n_rows,
                             cols,
                             &[(0, ip.rows)],
-                            Some(base_deps),
+                            After::Events(base_deps),
                         )?
                     } else {
                         // The boundary band must cover both the rows that
@@ -619,7 +624,7 @@ where
                                 n_rows,
                                 cols,
                                 &[(0, ip.rows)],
-                                Some(&boundary_deps),
+                                After::Events(&boundary_deps),
                             )?
                         } else {
                             // Interior first (it has no event dependencies,
@@ -634,7 +639,7 @@ where
                                 n_rows,
                                 cols,
                                 &[(band, ip.rows - 2 * band)],
-                                Some(base_deps),
+                                After::Events(base_deps),
                             )?;
                             self.launch_part_segments(
                                 &ctx,
@@ -644,7 +649,7 @@ where
                                 n_rows,
                                 cols,
                                 &[(0, band), (ip.rows - band, band)],
-                                Some(&boundary_deps),
+                                After::Events(&boundary_deps),
                             )?
                         }
                     };

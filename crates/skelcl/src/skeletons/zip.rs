@@ -19,7 +19,7 @@ use crate::skeletons::{
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use vgpu::{KernelBody, Program, Scalar as Element};
+use vgpu::{After, KernelBody, Program, Scalar as Element};
 
 /// The binary element-wise skeleton: `out[i] = f(a[i], b[i])`.
 pub struct Zip<T1: Element, T2: Element, U: Element, F> {
@@ -115,7 +115,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.len))?;
+                .launch(&kernel, linear_range(&ctx, lp.len), After::Device)?;
         }
         Ok(output_vector(
             &ctx,
@@ -181,8 +181,11 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(lp.device)
-                .launch(&kernel, range_2d(&ctx, lp.cols, lp.span_rows()))?;
+            ctx.queue(lp.device).launch(
+                &kernel,
+                range_2d(&ctx, lp.cols, lp.span_rows()),
+                After::Device,
+            )?;
         }
         Ok(Matrix::from_device_parts(
             &ctx,
@@ -279,7 +282,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(lp.device)
-                .launch(&kernel, linear_range(&ctx, lp.len))?;
+                .launch(&kernel, linear_range(&ctx, lp.len), After::Device)?;
         }
         Ok(output_vector(
             &ctx,

@@ -22,7 +22,7 @@ use crate::error::{Error, Result};
 use crate::meter;
 use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
 use std::sync::Arc;
-use vgpu::{Buffer, Event, KernelBody, NDRange, Scalar};
+use vgpu::{After, Buffer, Event, KernelBody, NDRange, Region, Scalar};
 
 /// How a vector's data is laid out across the context's devices
 /// (paper Section III-D).
@@ -248,7 +248,14 @@ impl<T: Scalar> Vector<T> {
                 if part.len > 0 {
                     let q = self.ctx.copy_queue(part.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(&part.buffer, 0, &mut out, 1, &dep)?;
+                    let ev = q.enqueue_read(
+                        &part.buffer,
+                        Region::At(0),
+                        &mut out,
+                        1,
+                        false,
+                        After::Events(&dep),
+                    )?;
                     ready = ready.max(ev.end_s);
                 }
             }
@@ -260,12 +267,13 @@ impl<T: Scalar> Vector<T> {
                     }
                     let q = self.ctx.copy_queue(p.device);
                     let dep = [q.enqueue_marker()];
-                    let ev = q.enqueue_read_range_async(
+                    let ev = q.enqueue_read(
                         &p.buffer,
-                        0,
+                        Region::At(0),
                         &mut out[p.offset..p.offset + p.len],
                         concurrent,
-                        &dep,
+                        false,
+                        After::Events(&dep),
                     )?;
                     ready = ready.max(ev.end_s);
                 }
@@ -448,8 +456,13 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
     for (d, off, len) in lay {
         let buffer = ctx.device(d).alloc::<T>(len)?;
         if len > 0 {
-            ctx.queue(d)
-                .enqueue_write_concurrent(&buffer, &st.host[off..off + len], concurrent)?;
+            ctx.queue(d).enqueue_write(
+                &buffer,
+                Region::Whole,
+                &st.host[off..off + len],
+                concurrent,
+                After::Device,
+            )?;
         }
         parts.push(DevicePart {
             device: d,
@@ -496,12 +509,12 @@ fn ensure_on_devices_streamed<T: Scalar>(
         let mut done = 0;
         while done < len {
             let n = chunk_len.min(len - done);
-            let event = queue.enqueue_write_range_async(
+            let event = queue.enqueue_write(
                 &buffer,
-                done,
+                Region::At(done),
                 &st.host[off + done..off + done + n],
                 concurrent,
-                &[],
+                After::Events(&[]),
             )?;
             chunks.push(VecUploadChunk {
                 start: done,
@@ -541,8 +554,14 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 .first()
                 .ok_or_else(|| Error::NotOnDevice("no device parts to download".into()))?;
             let mut tmp = vec![T::default(); part.len];
-            ctx.queue(part.device)
-                .enqueue_read_concurrent(&part.buffer, &mut tmp, 1, true)?;
+            ctx.queue(part.device).enqueue_read(
+                &part.buffer,
+                Region::Whole,
+                &mut tmp,
+                1,
+                true,
+                After::Device,
+            )?;
             st.host = tmp;
         }
         Distribution::Block => {
@@ -552,11 +571,13 @@ fn ensure_on_host<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
                 if p.len == 0 {
                     continue;
                 }
-                ctx.queue(p.device).enqueue_read_concurrent(
+                ctx.queue(p.device).enqueue_read(
                     &p.buffer,
+                    Region::Whole,
                     &mut st.host[p.offset..p.offset + p.len],
                     concurrent,
                     false,
+                    After::Device,
                 )?;
             }
             ctx.sync();
@@ -627,8 +648,15 @@ fn move_data<T: Scalar>(ctx: &Context, st: &State<T>, new_parts: &[DevicePart<T>
         }
         for (src_dev, src_buf, src_off, dst_off, l) in source_copies(st, np) {
             let _ = src_dev;
-            ctx.platform()
-                .copy_d2d_range(&src_buf, src_off, &np.buffer, dst_off, l, concurrent)?;
+            ctx.platform().copy(
+                &src_buf,
+                src_off,
+                &np.buffer,
+                dst_off,
+                l,
+                concurrent,
+                After::Device,
+            )?;
         }
     }
     ctx.sync();
@@ -719,14 +747,21 @@ where
             .iter()
             .find(|p| p.device == np.device)
             .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
-        ctx.platform()
-            .copy_on_device(&own.buffer, np.offset, &np.buffer, 0, np.len)?;
+        ctx.platform().copy(
+            &own.buffer,
+            np.offset,
+            &np.buffer,
+            0,
+            np.len,
+            1,
+            After::Device,
+        )?;
 
         // Fold in every other device's copy of this range.
         for op in st.parts.iter().filter(|p| p.device != np.device) {
             let tmp = ctx.device(np.device).alloc::<T>(np.len)?;
             ctx.platform()
-                .copy_d2d_range(&op.buffer, np.offset, &tmp, 0, np.len, cross)?;
+                .copy(&op.buffer, np.offset, &tmp, 0, np.len, cross, After::Device)?;
 
             let f = combine.func().clone();
             let dst = np.buffer.clone();
@@ -748,6 +783,7 @@ where
             ctx.queue(np.device).launch(
                 &kernel,
                 NDRange::linear(np.len, ctx.work_group().min(np.len)),
+                After::Device,
             )?;
         }
     }

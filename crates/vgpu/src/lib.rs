@@ -30,9 +30,11 @@
 //! Two devices enqueued back-to-back overlap in virtual time even though
 //! the simulation executes them one after the other — this is what makes
 //! the multi-GPU speedup experiments (paper Fig. 2) meaningful on a CPU.
-//! Within one device, the classic enqueue methods serialize against
-//! everything prior (the pre-stream behaviour), while the `_async` methods
-//! plus [`Event`] `wait_for` lists let a transfer run on the copy engine
+//! Every command kind has one entry point — write, read, fill, launch,
+//! and [`Platform::copy`] — taking an [`After`] dependency policy. Under
+//! [`After::Device`] a command serializes against everything prior on its
+//! device (the pre-stream behaviour); under [`After::Events`] it waits only
+//! for the listed [`Event`]s, so a transfer can run on the copy engine
 //! *under* a kernel on the compute engine — see [`timing`] for the
 //! scheduling rule and [`queue`] for the API.
 //!
@@ -45,17 +47,17 @@
 //! ## Quick example
 //!
 //! ```
-//! use vgpu::{Platform, PlatformConfig, NDRange};
+//! use vgpu::{After, NDRange, Platform, PlatformConfig, Region};
 //!
 //! let platform = Platform::new(PlatformConfig::default().devices(1));
 //! let dev = platform.device(0);
 //! let queue = platform.queue(0, vgpu::timing::DriverProfile::opencl());
 //!
 //! let buf = dev.alloc::<f32>(1024).unwrap();
-//! queue.enqueue_write(&buf, &vec![1.0f32; 1024]).unwrap();
+//! queue.enqueue_write(&buf, Region::Whole, &vec![1.0f32; 1024], 1, After::Device).unwrap();
 //!
 //! let program = vgpu::Program::from_source("square", "__kernel void square(__global float* x) { ... }");
-//! let kernel = queue.build_kernel(&program, {
+//! let (kernel, _) = queue.build_kernel(&program, {
 //!     let buf = buf.clone();
 //!     std::sync::Arc::new(move |wg: &vgpu::WorkGroup| {
 //!         wg.for_each_item(|item| {
@@ -68,9 +70,11 @@
 //!     })
 //! }).unwrap();
 //!
-//! queue.launch(&kernel, NDRange::linear(1024, 256)).unwrap();
+//! // Device-serializing: the kernel waits for everything before it.
+//! let done = queue.launch(&kernel, NDRange::linear(1024, 256), After::Device).unwrap();
+//! // Event-ordered: the blocking read waits only for the kernel's event.
 //! let mut out = vec![0.0f32; 1024];
-//! queue.enqueue_read(&buf, &mut out).unwrap();
+//! queue.enqueue_read(&buf, Region::Whole, &mut out, 1, true, After::Events(&[done])).unwrap();
 //! assert!(out.iter().all(|&v| v == 1.0));
 //! ```
 
@@ -102,7 +106,7 @@ pub use profiling::{
     verify_engine_utilization, AccessRange, CmdKind, CommandObserver, CommandRecord, EngineUsage,
     StatsSnapshot,
 };
-pub use queue::{CommandQueue, Event, EventKind};
+pub use queue::{After, CommandQueue, Event, EventKind, Region};
 pub use timing::{DriverProfile, EngineKind};
 pub use types::{BufferId, DeviceId, Scalar};
 

@@ -53,9 +53,7 @@ pub enum CmdKind {
 }
 
 impl CmdKind {
-    /// The trace classification of a scheduled event. `Build` events never
-    /// reach the scheduler (compilation is host-side), so they fold into
-    /// `Marker` rather than forcing callers to handle an impossible case.
+    /// The trace classification of a scheduled event.
     pub fn from_event(kind: EventKind) -> CmdKind {
         match kind {
             EventKind::WriteBuffer => CmdKind::H2D,
@@ -63,7 +61,7 @@ impl CmdKind {
             EventKind::FillBuffer => CmdKind::Fill,
             EventKind::Kernel => CmdKind::Kernel,
             EventKind::CopyD2D => CmdKind::D2D,
-            EventKind::Build { .. } | EventKind::Marker => CmdKind::Marker,
+            EventKind::Marker => CmdKind::Marker,
         }
     }
 }
@@ -118,7 +116,7 @@ pub struct CommandRecord {
     /// copies are streamless).
     pub stream: Option<u64>,
     pub kind: CmdKind,
-    /// Device-serializing (classic enqueue): ordered after *everything*
+    /// Device-serializing (`After::Device`): ordered after *everything*
     /// previously scheduled on its device. Async commands are ordered only
     /// by stream and explicit deps.
     pub serializing: bool,
@@ -552,16 +550,6 @@ impl Stats {
         }
     }
 
-    /// Copy the recorded trace *without* clearing it — for observers (span
-    /// collectors, reports) that must not steal the records from the owner
-    /// of the trace.
-    pub fn trace_snapshot(&self) -> Vec<CommandRecord> {
-        match self.trace.lock().as_ref() {
-            Some(t) => t.clone(),
-            None => Vec::new(),
-        }
-    }
-
     /// Number of commands recorded so far (0 when tracing is disabled).
     /// Spans remember this watermark on open so they can later slice their
     /// child commands out of the trace.
@@ -885,14 +873,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_snapshot_does_not_steal_records() {
+    fn trace_len_counts_until_taken() {
         let s = Stats::default();
+        assert_eq!(s.trace_len(), 0, "tracing disabled");
         s.enable_trace();
         s.record_command(DeviceId(0), EngineKind::Compute, 0.0, 1.0);
         assert_eq!(s.trace_len(), 1);
-        let snap = s.trace_snapshot();
-        assert_eq!(snap.len(), 1);
-        // The owner still gets the full trace afterwards.
         assert_eq!(s.take_trace().len(), 1);
         assert_eq!(s.trace_len(), 0);
     }

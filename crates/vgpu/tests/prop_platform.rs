@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vgpu::{
     local::{conflict_free_index, BankModel},
     timing::VirtualClock,
-    DeviceSpec, DriverProfile, KernelBody, NDRange, Platform, PlatformConfig, WorkGroup,
+    After, DeviceSpec, DriverProfile, KernelBody, NDRange, Platform, PlatformConfig, WorkGroup,
 };
 
 fn platform(n: usize) -> Platform {
@@ -42,8 +42,8 @@ proptest! {
                 });
             })
         };
-        let kernel = queue.build_kernel(&program, body).unwrap();
-        queue.launch(&kernel, NDRange::linear(global, local)).unwrap();
+        let (kernel, _) = queue.build_kernel(&program, body).unwrap();
+        queue.launch(&kernel, NDRange::linear(global, local), After::Device).unwrap();
         prop_assert!(buf.to_vec().iter().all(|&v| v == 1));
     }
 
@@ -164,12 +164,12 @@ proptest! {
                 });
             })
         };
-        let kernel = queue.build_kernel(&program, body).unwrap();
+        let (kernel, _) = queue.build_kernel(&program, body).unwrap();
 
         std::env::set_var("VGPU_THREADS", "1");
-        let a = queue.launch(&kernel, NDRange::linear(n, 64)).unwrap();
+        let a = queue.launch(&kernel, NDRange::linear(n, 64), After::Device).unwrap();
         std::env::set_var("VGPU_THREADS", "5");
-        let b = queue.launch(&kernel, NDRange::linear(n, 64)).unwrap();
+        let b = queue.launch(&kernel, NDRange::linear(n, 64), After::Device).unwrap();
         std::env::remove_var("VGPU_THREADS");
         let (sa, sb) = (a.launch.unwrap(), b.launch.unwrap());
         prop_assert_eq!(sa.duration_s, sb.duration_s);

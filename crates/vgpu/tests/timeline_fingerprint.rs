@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 use vgpu::{
-    AccessRange, BufferId, CommandRecord, DeviceSpec, DriverProfile, Event, KernelBody, NDRange,
-    Platform, PlatformConfig, Program, StatsSnapshot, WorkGroup,
+    AccessRange, After, BufferId, CommandRecord, DeviceSpec, DriverProfile, Event, KernelBody,
+    NDRange, Platform, PlatformConfig, Program, Region, StatsSnapshot, WorkGroup,
 };
 
 const N: usize = 1024;
@@ -101,45 +101,70 @@ fn scripted_mix_reproduces_the_recorded_timeline() {
 
     // A source build, then a cache load of the same program.
     let program = Program::from_source("double", "__kernel void double_it() { /* fp */ }");
-    let k0 = q0.build_kernel(&program, double_body(&a0, &b0)).unwrap();
-    let (k1, outcome) = q1
-        .build_kernel_traced(&program, double_body(&a1, &b1))
-        .unwrap();
+    let (k0, _) = q0.build_kernel(&program, double_body(&a0, &b0)).unwrap();
+    let (k1, outcome) = q1.build_kernel(&program, double_body(&a1, &b1)).unwrap();
     assert!(outcome.from_cache);
 
-    let w = q0.enqueue_write(&a0, &host).unwrap();
-    c0.enqueue_write_concurrent(&s0, &host, 2).unwrap();
-    let ka = q0.launch_async(&k0, nd, std::slice::from_ref(&w)).unwrap();
-    let wa = c0.enqueue_write_async(&s0, &host, 1, &[]).unwrap();
-    c0.enqueue_write_range_async(&s0, 16, &host[..64], 2, &[wa])
+    let w = q0
+        .enqueue_write(&a0, Region::Whole, &host, 1, After::Device)
         .unwrap();
-    q1.enqueue_write_range(&a1, 8, &host[..128], 1).unwrap();
-    q1.launch(&k1, nd).unwrap();
-    p.copy_d2d(&b0, &b1, 1).unwrap();
-    q1.launch_async(&k1, nd, &[]).unwrap();
-    p.copy_d2d_range(&b0, 4, &a1, 0, 32, 2).unwrap();
-    p.copy_d2d_range(&a0, 0, &s0, 0, 64, 1).unwrap();
-    p.copy_on_device(&a0, 64, &s0, 128, 32).unwrap();
-    let kc = q0.launch_async(&k0, nd, &[]).unwrap();
-    p.copy_d2d_range_async(&a0, 0, &a1, 0, 256, 1, std::slice::from_ref(&kc))
+    c0.enqueue_write(&s0, Region::Whole, &host, 2, After::Device)
         .unwrap();
-    q1.launch_async(&k1, nd, &[]).unwrap();
-    p.copy_d2d_range_async(&s0, 0, &b0, 256, 64, 1, &[ka])
+    let ka = q0
+        .launch(&k0, nd, After::Events(std::slice::from_ref(&w)))
+        .unwrap();
+    let wa = c0
+        .enqueue_write(&s0, Region::Whole, &host, 1, After::Events(&[]))
+        .unwrap();
+    c0.enqueue_write(&s0, Region::At(16), &host[..64], 2, After::Events(&[wa]))
+        .unwrap();
+    q1.enqueue_write(&a1, Region::At(8), &host[..128], 1, After::Device)
+        .unwrap();
+    q1.launch(&k1, nd, After::Device).unwrap();
+    p.copy(&b0, 0, &b1, 0, N, 1, After::Device).unwrap();
+    q1.launch(&k1, nd, After::Events(&[])).unwrap();
+    p.copy(&b0, 4, &a1, 0, 32, 2, After::Device).unwrap();
+    p.copy(&a0, 0, &s0, 0, 64, 1, After::Device).unwrap();
+    p.copy(&a0, 64, &s0, 128, 32, 1, After::Device).unwrap();
+    let kc = q0.launch(&k0, nd, After::Events(&[])).unwrap();
+    p.copy(
+        &a0,
+        0,
+        &a1,
+        0,
+        256,
+        1,
+        After::Events(std::slice::from_ref(&kc)),
+    )
+    .unwrap();
+    q1.launch(&k1, nd, After::Events(&[])).unwrap();
+    p.copy(&s0, 0, &b0, 256, 64, 1, After::Events(&[ka]))
         .unwrap();
     let m = c0.enqueue_marker();
-    c0.enqueue_read_range_async(&b0, 0, &mut out[..64], 1, &[m])
+    c0.enqueue_read(
+        &b0,
+        Region::At(0),
+        &mut out[..64],
+        1,
+        false,
+        After::Events(&[m]),
+    )
+    .unwrap();
+    q0.enqueue_fill(&s0, 0.5, After::Device).unwrap();
+    q1.enqueue_read(&b1, Region::Whole, &mut out, 2, false, After::Device)
         .unwrap();
-    q0.enqueue_fill(&s0, 0.5).unwrap();
-    q1.enqueue_read_concurrent(&b1, &mut out, 2, false).unwrap();
-    q1.enqueue_read_range(&a1, 8, &mut out[..16], 1, false)
+    q1.enqueue_read(&a1, Region::At(8), &mut out[..16], 1, false, After::Device)
         .unwrap();
-    q0.enqueue_read_range(&b0, 0, &mut out[..32], 1, true)
+    q0.enqueue_read(&b0, Region::At(0), &mut out[..32], 1, true, After::Device)
         .unwrap();
-    q1.launch_async(&k1, nd, &[]).unwrap();
-    q1.enqueue_read(&b1, &mut out).unwrap();
-    q0.launch(&k0, nd).unwrap();
+    q1.launch(&k1, nd, After::Events(&[])).unwrap();
+    q1.enqueue_read(&b1, Region::Whole, &mut out, 1, true, After::Device)
+        .unwrap();
+    q0.launch(&k0, nd, After::Device).unwrap();
     q0.finish();
-    let last: Event = c0.enqueue_write_async(&a0, &host, 1, &[]).unwrap();
+    let last: Event = c0
+        .enqueue_write(&a0, Region::Whole, &host, 1, After::Events(&[]))
+        .unwrap();
     assert_eq!(last.seq, 26);
 
     let trace: Vec<String> = p
