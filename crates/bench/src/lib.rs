@@ -958,14 +958,13 @@ pub fn run_stencil_cache_experiment() -> CacheResult {
     let platform = figure_platform(1);
     platform.compiler().clear_cache().expect("clear cache");
     let queue = platform.queue(0, DriverProfile::opencl());
-    let program = skelcl::codegen::stencil2d_program(
+    let gauss3 = skelcl::codegen::FusedStage::new(
+        "stencil",
         "gauss3",
         "float gauss3(__global float* in, int r, int c, uint nr, uint nc) { /* 3x3 blur */ }",
-        "float",
-        "float",
         1,
-        "neumann",
     );
+    let program = skelcl::codegen::stencil2d_program(&[gauss3], "float", "float", 1, "neumann");
     let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
 
     let (_, first) = queue.build_kernel(&program, body.clone()).expect("build");

@@ -10,44 +10,29 @@ use crate::{
     edge_label, gaussian3_at, hysteresis, magnitude, nms_at, sobel_x_at, sobel_y_at, Grad,
 };
 use skelcl::{
-    Boundary2D, Map, Matrix, PipeView, Pipeline, PipelineExpr, ReduceRows, ReduceRowsArg, Result,
-    Stencil2D, Stencil2DView, UserFn, Vector, Zip,
+    Boundary2D, Map, Matrix, Pipeline, PipelineExpr, ReduceRows, ReduceRowsArg, Result, Stencil2D,
+    Stencil2DView, UserFn, Vector, Zip,
 };
 
 /// The Gaussian blur skeleton.
 pub fn gaussian_skeleton(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    // >>> kernel
-    let user = UserFn::new("gauss3", GAUSS3_SRC, |v: &Stencil2DView<'_, f32>| {
-        gaussian3_at(|dr, dc| v.get(dr, dc))
-    });
-    // <<< kernel
-    Stencil2D::new(user, 1, boundary)
+    Stencil2D::new(gauss3_fn(), 1, boundary)
 }
 
 /// The horizontal Sobel derivative skeleton.
 pub fn sobel_x_skeleton(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    // >>> kernel
-    let user = UserFn::new("sobel_x", SOBEL_X_SRC, |v: &Stencil2DView<'_, f32>| {
-        sobel_x_at(|dr, dc| v.get(dr, dc))
-    });
-    // <<< kernel
-    Stencil2D::new(user, 1, boundary)
+    Stencil2D::new(sobel_x_fn(), 1, boundary)
 }
 
 /// The vertical Sobel derivative skeleton.
 pub fn sobel_y_skeleton(
     boundary: Boundary2D,
 ) -> Stencil2D<f32, f32, impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
-    // >>> kernel
-    let user = UserFn::new("sobel_y", SOBEL_Y_SRC, |v: &Stencil2DView<'_, f32>| {
-        sobel_y_at(|dr, dc| v.get(dr, dc))
-    });
-    // <<< kernel
-    Stencil2D::new(user, 1, boundary)
+    Stencil2D::new(sobel_y_fn(), 1, boundary)
 }
 
 /// The gradient-magnitude Zip skeleton.
@@ -64,10 +49,8 @@ pub fn magnitude_skeleton() -> Zip<f32, f32, f32, impl Fn(f32, f32) -> f32 + Clo
 
 // --- canny stage user functions -------------------------------------------
 //
-// The fused pipeline and the unfused skeleton chain share the OpenCL
-// sources and the Rust twins below differ only in view type
-// (`PipeView` vs `Stencil2DView`), so both call the same shared per-pixel
-// functions and agree bit for bit.
+// One user function per stage: the fused pipeline and the unfused skeleton
+// chain pass the same `UserFn` values, so they agree bit for bit.
 
 const GAUSS3_SRC: &str = "float gauss3(__global float* in, int r, int c, uint nr, uint nc) {\n\
      #define AT(dr, dc) stencil_at(in, r, c, nr, nc, dr, dc)\n\
@@ -111,6 +94,38 @@ const NMS_SRC: &str = "float nms(__global Grad* in, int r, int c, uint nr, uint 
      #undef AT\n\
      }";
 
+fn gauss3_fn() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    // >>> kernel
+    UserFn::new("gauss3", GAUSS3_SRC, |v: &Stencil2DView<'_, f32>| {
+        gaussian3_at(|dr, dc| v.get(dr, dc))
+    })
+    // <<< kernel
+}
+
+fn sobel_x_fn() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    // >>> kernel
+    UserFn::new("sobel_x", SOBEL_X_SRC, |v: &Stencil2DView<'_, f32>| {
+        sobel_x_at(|dr, dc| v.get(dr, dc))
+    })
+    // <<< kernel
+}
+
+fn sobel_y_fn() -> UserFn<impl Fn(&Stencil2DView<'_, f32>) -> f32 + Clone> {
+    // >>> kernel
+    UserFn::new("sobel_y", SOBEL_Y_SRC, |v: &Stencil2DView<'_, f32>| {
+        sobel_y_at(|dr, dc| v.get(dr, dc))
+    })
+    // <<< kernel
+}
+
+fn nms_fn() -> UserFn<impl Fn(&Stencil2DView<'_, Grad>) -> f32 + Clone> {
+    // >>> kernel
+    UserFn::new("nms", NMS_SRC, |v: &Stencil2DView<'_, Grad>| {
+        nms_at(|dr, dc| v.get(dr, dc))
+    })
+    // <<< kernel
+}
+
 fn grad_pack_fn() -> UserFn<impl Fn(f32, f32) -> Grad + Clone> {
     // >>> kernel
     UserFn::new("grad_pack", GRAD_PACK_SRC, |gx, gy| Grad { gx, gy })
@@ -138,12 +153,7 @@ fn edge_label_fn(lo: f32, hi: f32) -> UserFn<impl Fn(f32) -> f32 + Clone> {
 pub fn nms_skeleton(
     boundary: Boundary2D,
 ) -> Stencil2D<Grad, f32, impl Fn(&Stencil2DView<'_, Grad>) -> f32 + Clone> {
-    // >>> kernel
-    let user = UserFn::new("nms", NMS_SRC, |v: &Stencil2DView<'_, Grad>| {
-        nms_at(|dr, dc| v.get(dr, dc))
-    });
-    // <<< kernel
-    Stencil2D::new(user, 1, boundary)
+    Stencil2D::new(nms_fn(), 1, boundary)
 }
 
 /// Run the full pipeline on a device-distributed image. Intermediates stay
@@ -168,24 +178,10 @@ pub fn canny_labels(
     lo: f32,
     hi: f32,
 ) -> Result<Matrix<f32>> {
-    // >>> kernel
-    let gauss = UserFn::new("gauss3", GAUSS3_SRC, |v: &PipeView<'_, f32>| {
-        gaussian3_at(|dr, dc| v.get(dr, dc))
-    });
-    let sx = UserFn::new("sobel_x", SOBEL_X_SRC, |v: &PipeView<'_, f32>| {
-        sobel_x_at(|dr, dc| v.get(dr, dc))
-    });
-    let sy = UserFn::new("sobel_y", SOBEL_Y_SRC, |v: &PipeView<'_, f32>| {
-        sobel_y_at(|dr, dc| v.get(dr, dc))
-    });
-    let nms = UserFn::new("nms", NMS_SRC, |v: &PipeView<'_, Grad>| {
-        nms_at(|dr, dc| v.get(dr, dc))
-    });
-    // <<< kernel
     Pipeline::start::<f32>()
-        .stencil(gauss, 1, boundary)
-        .stencil_pair(sx, sy, grad_pack_fn(), 1, boundary)
-        .stencil(nms, 1, boundary)
+        .stencil(gauss3_fn(), 1, boundary)
+        .stencil_pair(sobel_x_fn(), sobel_y_fn(), grad_pack_fn(), 1, boundary)
+        .stencil(nms_fn(), 1, boundary)
         .map(edge_label_fn(lo, hi))
         .run(img)
 }

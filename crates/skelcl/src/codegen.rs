@@ -284,58 +284,6 @@ pub fn scan_program(fn_name: &str, fn_source: &str, t: &str) -> Program {
     Program::from_source(program_name("scan", fn_name, &[t]), source).with_arg_count(6)
 }
 
-/// Generate the 2D Map skeleton program for `U f(T)` over a row-major
-/// matrix: one work-item per element of a 2D NDRange.
-pub fn map2d_program(fn_name: &str, fn_source: &str, in_t: &str, out_t: &str) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: Map skeleton (2D NDRange)\n\
-         {fn_source}\n\
-         __kernel void skelcl_map2d(__global const {in_t}* restrict in,\n\
-                                    __global {out_t}* restrict out,\n\
-                                    const uint n_rows,\n\
-                                    const uint n_cols) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {fn_name}(in[row * n_cols + col]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(program_name("map2d", fn_name, &[in_t, out_t]), source).with_arg_count(4)
-}
-
-/// Generate the 2D Zip skeleton program for `U f(T1, T2)` over two
-/// identically shaped row-major matrices.
-pub fn zip2d_program(
-    fn_name: &str,
-    fn_source: &str,
-    in1_t: &str,
-    in2_t: &str,
-    out_t: &str,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: Zip skeleton (2D NDRange)\n\
-         {fn_source}\n\
-         __kernel void skelcl_zip2d(__global const {in1_t}* restrict lhs,\n\
-                                    __global const {in2_t}* restrict rhs,\n\
-                                    __global {out_t}* restrict out,\n\
-                                    const uint n_rows,\n\
-                                    const uint n_cols) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 uint i = row * n_cols + col;\n\
-                 out[i] = {fn_name}(lhs[i], rhs[i]);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name("zip2d", fn_name, &[in1_t, in2_t, out_t]),
-        source,
-    )
-    .with_arg_count(5)
-}
-
 /// The index-resolution snippet of `stencil_at` for one boundary mode:
 /// `neumann` clamps, `wrap` is toroidal, `zero` returns the element type's
 /// zero before indexing.
@@ -353,99 +301,6 @@ fn stencil_boundary_resolve(boundary: &str, in_t: &str) -> String {
                  return ({in_t})0;"
         ),
     }
-}
-
-/// Generate the Stencil2D skeleton program: a 2D stencil of the given
-/// radius whose out-of-range accesses follow `boundary` (`neumann` clamps,
-/// `wrap` is toroidal, `zero` reads 0). The boundary mode changes the
-/// emitted index arithmetic, so it is part of the program name and thus the
-/// cache key.
-pub fn stencil2d_program(
-    fn_name: &str,
-    fn_source: &str,
-    in_t: &str,
-    out_t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let resolve = stencil_boundary_resolve(boundary, in_t);
-    let source = format!(
-        "// generated by SkelCL codegen: Stencil2D skeleton, radius {radius}, {boundary} boundary\n\
-         inline {in_t} stencil_at(__global const {in_t}* in, int row, int col,\n\
-                                  uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return in[rr * n_cols + cc];\n\
-         }}\n\
-         {fn_source}\n\
-         __kernel void skelcl_stencil2d(__global const {in_t}* restrict in,\n\
-                                        __global {out_t}* restrict out,\n\
-                                        const uint n_rows,\n\
-                                        const uint n_cols,\n\
-                                        const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 out[row * n_cols + col] = {fn_name}(in, row, col, n_rows, n_cols);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("stencil2d_r{radius}_{boundary}"),
-            fn_name,
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(5)
-}
-
-/// Generate the iteration form of the Stencil2D skeleton program, behind
-/// `Stencil2D::iterate(n)`: the same per-element stencil as
-/// [`stencil2d_program`], but written against two device-resident buffers
-/// `a` (read) and `b` (write) whose roles swap between launches. The host
-/// side launches this one compiled kernel `n` times, rebinding `a`/`b`
-/// each round and batching one halo exchange per iteration; no intermediate
-/// buffer is ever allocated or downloaded. The element type is forced to be
-/// the same on both sides (`{t}` → `{t}`) — ping-ponging requires it.
-pub fn stencil2d_iter_program(
-    fn_name: &str,
-    fn_source: &str,
-    t: &str,
-    radius: usize,
-    boundary: &str,
-) -> Program {
-    let resolve = stencil_boundary_resolve(boundary, t);
-    let source = format!(
-        "// generated by SkelCL codegen: Stencil2D iteration, radius {radius}, {boundary} boundary\n\
-         // a/b ping-pong: launch n swaps the buffers of launch n-1.\n\
-         inline {t} stencil_at(__global const {t}* in, int row, int col,\n\
-                               uint n_rows, uint n_cols, int dr, int dc) {{\n\
-             {resolve}\n\
-             return in[rr * n_cols + cc];\n\
-         }}\n\
-         {fn_source}\n\
-         __kernel void skelcl_stencil2d_iter(__global const {t}* restrict a,\n\
-                                             __global {t}* restrict b,\n\
-                                             const uint n_rows,\n\
-                                             const uint n_cols,\n\
-                                             const uint row_offset) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1) + row_offset;\n\
-             if (row < n_rows && col < n_cols) {{\n\
-                 b[row * n_cols + col] = {fn_name}(a, row, col, n_rows, n_cols);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("stencil2d_iter_r{radius}_{boundary}"),
-            fn_name,
-            &[t],
-        ),
-        source,
-    )
-    .with_arg_count(5)
 }
 
 /// Generate the row-segmented 2D Reduce program behind
@@ -582,111 +437,6 @@ pub fn reduce_cols_arg_program(fn_name: &str, fn_source: &str, t: &str) -> Progr
     Program::from_source(program_name("reduce_cols_arg", fn_name, &[t]), source).with_arg_count(10)
 }
 
-/// Generate the naive AllPairs skeleton program: one work-item per output
-/// element, combining `zip(A[i][k], B[k][j])` across the inner dimension
-/// with `reduce` (SkelCL's later `AllPairs(M, N)` skeleton restricted to
-/// the zip-reduce form that admits the fast tiled implementation).
-pub fn allpairs_program(
-    zip_name: &str,
-    zip_source: &str,
-    reduce_name: &str,
-    reduce_source: &str,
-    in_t: &str,
-    out_t: &str,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: AllPairs skeleton (naive)\n\
-         {zip_source}\n\
-         {reduce_source}\n\
-         __kernel void skelcl_allpairs(__global const {in_t}* restrict a,\n\
-                                       __global const {in_t}* restrict b,\n\
-                                       __global {out_t}* restrict c,\n\
-                                       const uint m,\n\
-                                       const uint k,\n\
-                                       const uint n,\n\
-                                       const {out_t} identity) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             if (row < m && col < n) {{\n\
-                 {out_t} acc = identity;\n\
-                 for (uint kk = 0; kk < k; ++kk) {{\n\
-                     acc = {reduce_name}(acc, {zip_name}(a[row * k + kk], b[kk * n + col]));\n\
-                 }}\n\
-                 c[row * n + col] = acc;\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            "allpairs",
-            &format!("{zip_name}_{reduce_name}"),
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(7)
-}
-
-/// Generate the tiled AllPairs skeleton program: each `tile × tile`
-/// work-group stages an A-row-strip tile and a B-col-strip tile in local
-/// memory and every item combines from there, cutting global traffic by a
-/// factor of `tile` (the classic blocked matrix-multiply scheme). The tile
-/// dimension changes the emitted code — and the local-memory footprint — so
-/// it is part of the program name and thus the kernel cache key.
-pub fn allpairs_tiled_program(
-    zip_name: &str,
-    zip_source: &str,
-    reduce_name: &str,
-    reduce_source: &str,
-    in_t: &str,
-    out_t: &str,
-    tile: usize,
-) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: AllPairs skeleton (tiled, {tile}x{tile} local tiles)\n\
-         #define TILE {tile}\n\
-         {zip_source}\n\
-         {reduce_source}\n\
-         __kernel void skelcl_allpairs_tiled(__global const {in_t}* restrict a,\n\
-                                             __global const {in_t}* restrict b,\n\
-                                             __global {out_t}* restrict c,\n\
-                                             const uint m,\n\
-                                             const uint k,\n\
-                                             const uint n,\n\
-                                             const {out_t} identity,\n\
-                                             __local {in_t}* a_tile,\n\
-                                             __local {in_t}* b_tile) {{\n\
-             uint col = get_global_id(0);\n\
-             uint row = get_global_id(1);\n\
-             uint lx = get_local_id(0);\n\
-             uint ly = get_local_id(1);\n\
-             {out_t} acc = identity;\n\
-             for (uint t = 0; t < (k + TILE - 1) / TILE; ++t) {{\n\
-                 uint ka = t * TILE + lx;\n\
-                 uint kb = t * TILE + ly;\n\
-                 a_tile[ly * TILE + lx] = (row < m && ka < k) ? a[row * k + ka] : identity;\n\
-                 b_tile[ly * TILE + lx] = (col < n && kb < k) ? b[kb * n + col] : identity;\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 uint span = min((uint)TILE, k - t * TILE);\n\
-                 for (uint kk = 0; kk < span; ++kk) {{\n\
-                     acc = {reduce_name}(acc, {zip_name}(a_tile[ly * TILE + kk], b_tile[kk * TILE + lx]));\n\
-                 }}\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-             }}\n\
-             if (row < m && col < n) c[row * n + col] = acc;\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(
-            &format!("allpairs_tiled{tile}"),
-            &format!("{zip_name}_{reduce_name}"),
-            &[in_t, out_t],
-        ),
-        source,
-    )
-    .with_arg_count(9)
-}
-
 /// Generate the MapOverlap skeleton program (stencil with halo; SkelCL's
 /// follow-up extension, announced as future work in Section III-D).
 pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usize) -> Program {
@@ -710,17 +460,20 @@ pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usiz
 }
 
 // ---------------------------------------------------------------------------
-// Fused pipeline programs (expression-template kernel fusion).
+// Matrix skeleton programs: one builder per kernel shape.
 //
-// A `Pipeline` (see `crate::skeletons::pipeline`) collapses a chain of
+// Every 2D element-wise and stencil kernel comes from the `Pipeline` planner
+// (see `crate::skeletons::pipeline`); a single `Map`, `Zip` or `Stencil2D`
+// call on a matrix is a one-stage chain. The planner collapses a chain of
 // element-wise stages into the body of a neighbouring stencil / reduce /
-// map kernel. The builders below generate one program for the whole fused
-// group: every stage's user-function source is pasted once and the kernel
-// body chains the calls, so no intermediate buffer ever appears in the
-// emitted code. The joined stage names (and, for stencils, radius and
-// boundary mode) go into the program name — the fused program is cached in
-// the `ProgramRegistry` under that key exactly like any single-skeleton
-// program.
+// map kernel, and the builders below generate one program for the whole
+// group from its stage list: every stage's user-function source is pasted
+// once and the kernel body chains the calls, so no intermediate buffer ever
+// appears in the emitted code. The joined stage names (and, for stencils,
+// radius and boundary mode) go into the program name; the program is cached
+// in the `ProgramRegistry` under its source hash like any other program.
+// The emitted kernel and program names keep their `fused` spelling: the
+// source text is the cache key, and its length sets the modeled build cost.
 
 /// One stage of a fused pipeline group, as codegen sees it.
 #[derive(Clone, Debug)]
@@ -751,6 +504,11 @@ impl FusedStage {
             source: source.into(),
             static_ops,
         }
+    }
+
+    /// The stage descriptor of a user function.
+    pub fn of<F>(kind: &'static str, user: &UserFn<F>) -> Self {
+        FusedStage::new(kind, user.name(), user.source(), user.static_ops())
     }
 }
 
@@ -803,10 +561,11 @@ fn fused_zip_params(stages: &[FusedStage], elem_t: &str) -> (String, usize) {
     (params, count)
 }
 
-/// Generate the fused element-wise program: an N-stage `map`/`zip` chain
+/// Generate the 2D element-wise program: an N-stage `map`/`zip` chain
 /// collapsed into one 2D-NDRange kernel — one launch, zero intermediate
-/// buffers, however long the chain.
-pub fn fused_map2d_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
+/// buffers, however long the chain (`Map::apply_matrix` and
+/// `Zip::apply_matrix` are the one-stage chains).
+pub fn map2d_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Program {
     let chain = fused_value_chain(stages, "in[i]");
     let (zip_params, n_zips) = fused_zip_params(stages, in_t);
     let source = format!(
@@ -833,12 +592,16 @@ pub fn fused_map2d_program(stages: &[FusedStage], in_t: &str, out_t: &str) -> Pr
     .with_arg_count(4 + n_zips)
 }
 
-/// Generate a fused stencil program: exactly one `stencil`/`stencil_pair`
+/// Generate the Stencil2D program: exactly one `stencil`/`stencil_pair`
 /// stage whose neighbourhood reads run the *pre* element-wise chain and
 /// whose result runs the *post* chain before the single write. `pre`,
 /// `stencil` and `post` together are the launch's stage list; the split is
-/// positional (stages before/after the stencil stage).
-pub fn fused_stencil2d_program(
+/// positional (stages before/after the stencil stage). `Stencil2D` builds
+/// the one-stage form once and launches it for `apply`, `apply_streamed`
+/// and every round of `iterate` (with its two buffers rebound). The
+/// boundary mode changes the emitted index arithmetic, so it is part of the
+/// source and thus the cache key.
+pub fn stencil2d_program(
     stages: &[FusedStage],
     in_t: &str,
     out_t: &str,
@@ -893,12 +656,12 @@ pub fn fused_stencil2d_program(
     .with_arg_count(5 + n_zips)
 }
 
-/// Generate a fused row-reduction program: the element-wise chain runs on
-/// every element *as it is folded*, so the whole map→…→reduce-rows pipeline
-/// is one launch with zero intermediate buffers. The fold is the same
-/// ascending-column left fold as [`reduce_rows_program`], which keeps the
-/// result bit-identical to the unfused chain.
-pub fn fused_reduce_rows_program(
+/// Generate the pipeline's row-reduction program: the element-wise chain
+/// runs on every element *as it is folded*, so the whole map→…→reduce-rows
+/// pipeline is one launch with zero intermediate buffers. The fold is the
+/// same ascending-column left fold as [`reduce_rows_program`], which keeps
+/// the result bit-identical to the unfused chain.
+pub fn map_reduce_rows_program(
     stages: &[FusedStage],
     reduce_name: &str,
     reduce_source: &str,
@@ -940,13 +703,22 @@ pub fn fused_reduce_rows_program(
     .with_arg_count(5 + n_zips)
 }
 
-/// Generate the post-fused AllPairs program: [`allpairs_program`] (or its
-/// tiled twin when `tile > 0`) with an element-wise chain applied to each
-/// output element before the single write — `AllPairs::with_post` fuses
-/// e.g. the square root of a pairwise Euclidean distance into the
-/// zip-reduce kernel instead of launching a separate Map over the result.
+/// Generate the AllPairs skeleton program: `C[i][j]` folds
+/// `zip(A[i][k], B[k][j])` across the inner dimension with `reduce` in
+/// ascending `k` (SkelCL's later `AllPairs(M, N)` skeleton restricted to
+/// the zip-reduce form), then runs the `post` element-wise chain on the
+/// folded value before the single write — `AllPairs::with_post` fuses e.g.
+/// the square root of a pairwise Euclidean distance this way.
+///
+/// `tile == 0` is the naive form, one work-item per output element. A
+/// positive `tile` is the tiled form: each `tile × tile` work-group stages
+/// an A-row-strip tile and a B-col-strip tile in local memory and every
+/// item combines from there, cutting global traffic by a factor of `tile`
+/// (the classic blocked matrix-multiply scheme). The tile dimension changes
+/// the emitted code — and the local-memory footprint — so it is part of the
+/// source and thus the kernel cache key.
 #[allow(clippy::too_many_arguments)]
-pub fn fused_allpairs_program(
+pub fn allpairs_program(
     zip_name: &str,
     zip_source: &str,
     reduce_name: &str,
@@ -956,84 +728,88 @@ pub fn fused_allpairs_program(
     out_t: &str,
     tile: usize,
 ) -> Program {
-    let write_chain = fused_value_chain(post, "acc");
-    let post_sources = fused_sources(post);
-    let full_name = format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post));
-    if tile == 0 {
-        let source = format!(
-            "// generated by SkelCL codegen: AllPairs skeleton (naive, fused post chain)\n\
-             {zip_source}\n\
-             {reduce_source}\n\
-             {post_sources}\n\
-             __kernel void skelcl_fused_allpairs(__global const {in_t}* restrict a,\n\
-                                  __global const {in_t}* restrict b,\n\
-                                  __global {out_t}* restrict c,\n\
-                                  const uint m,\n\
-                                  const uint k,\n\
-                                  const uint n,\n\
-                                  const {out_t} identity) {{\n\
-                 uint col = get_global_id(0);\n\
-                 uint row = get_global_id(1);\n\
-                 if (row < m && col < n) {{\n\
-                     {out_t} acc = identity;\n\
-                     for (uint kk = 0; kk < k; ++kk) {{\n\
-                         acc = {reduce_name}(acc, {zip_name}(a[row * k + kk], b[kk * n + col]));\n\
-                     }}\n\
-                     c[row * n + col] = {write_chain};\n\
-                 }}\n\
-             }}\n"
-        );
-        Program::from_source(
-            program_name("fused_allpairs", &full_name, &[in_t, out_t]),
-            source,
-        )
-        .with_arg_count(7)
+    let write = fused_value_chain(post, "acc");
+    let post_sources: String = post.iter().map(|s| format!("{}\n", s.source)).collect();
+    let (fused, fn_name) = if post.is_empty() {
+        (String::new(), format!("{zip_name}_{reduce_name}"))
     } else {
-        let source = format!(
-            "// generated by SkelCL codegen: AllPairs skeleton (tiled {tile}x{tile}, fused post chain)\n\
-             #define TILE {tile}\n\
-             {zip_source}\n\
-             {reduce_source}\n\
-             {post_sources}\n\
-             __kernel void skelcl_fused_allpairs_tiled(__global const {in_t}* restrict a,\n\
-                                  __global const {in_t}* restrict b,\n\
-                                  __global {out_t}* restrict c,\n\
-                                  const uint m,\n\
-                                  const uint k,\n\
-                                  const uint n,\n\
-                                  const {out_t} identity,\n\
-                                  __local {in_t}* a_tile,\n\
-                                  __local {in_t}* b_tile) {{\n\
-                 uint col = get_global_id(0);\n\
-                 uint row = get_global_id(1);\n\
-                 uint lx = get_local_id(0);\n\
-                 uint ly = get_local_id(1);\n\
-                 {out_t} acc = identity;\n\
-                 for (uint t = 0; t < (k + TILE - 1) / TILE; ++t) {{\n\
-                     uint ka = t * TILE + lx;\n\
-                     uint kb = t * TILE + ly;\n\
-                     a_tile[ly * TILE + lx] = (row < m && ka < k) ? a[row * k + ka] : identity;\n\
-                     b_tile[ly * TILE + lx] = (col < n && kb < k) ? b[kb * n + col] : identity;\n\
-                     barrier(CLK_LOCAL_MEM_FENCE);\n\
-                     uint span = min((uint)TILE, k - t * TILE);\n\
-                     for (uint kk = 0; kk < span; ++kk) {{\n\
-                         acc = {reduce_name}(acc, {zip_name}(a_tile[ly * TILE + kk], b_tile[kk * TILE + lx]));\n\
-                     }}\n\
-                     barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 }}\n\
-                 if (row < m && col < n) c[row * n + col] = {write_chain};\n\
-             }}\n"
-        );
-        Program::from_source(
-            program_name(
-                &format!("fused_allpairs_tiled{tile}"),
-                &full_name,
-                &[in_t, out_t],
-            ),
-            source,
+        (
+            ", fused post chain".to_string(),
+            format!("{zip_name}_{reduce_name}+{}", fused_chain_name(post)),
         )
-        .with_arg_count(9)
-    }
+    };
+    let (strategy, skeleton, n_args, define, kernel) = if tile == 0 {
+        (
+            "naive".to_string(),
+            "allpairs".to_string(),
+            7,
+            String::new(),
+            format!(
+                "__kernel void skelcl_allpairs(__global const {in_t}* restrict a,\n\
+                                              __global const {in_t}* restrict b,\n\
+                                              __global {out_t}* restrict c,\n\
+                                              const uint m,\n\
+                                              const uint k,\n\
+                                              const uint n,\n\
+                                              const {out_t} identity) {{\n\
+                     uint col = get_global_id(0);\n\
+                     uint row = get_global_id(1);\n\
+                     if (row < m && col < n) {{\n\
+                         {out_t} acc = identity;\n\
+                         for (uint kk = 0; kk < k; ++kk) {{\n\
+                             acc = {reduce_name}(acc, {zip_name}(a[row * k + kk], b[kk * n + col]));\n\
+                         }}\n\
+                         c[row * n + col] = {write};\n\
+                     }}\n\
+                 }}\n"
+            ),
+        )
+    } else {
+        (
+            format!("tiled, {tile}x{tile} local tiles"),
+            format!("allpairs_tiled{tile}"),
+            9,
+            format!("#define TILE {tile}\n"),
+            format!(
+                "__kernel void skelcl_allpairs_tiled(__global const {in_t}* restrict a,\n\
+                                                    __global const {in_t}* restrict b,\n\
+                                                    __global {out_t}* restrict c,\n\
+                                                    const uint m,\n\
+                                                    const uint k,\n\
+                                                    const uint n,\n\
+                                                    const {out_t} identity,\n\
+                                                    __local {in_t}* a_tile,\n\
+                                                    __local {in_t}* b_tile) {{\n\
+                     uint col = get_global_id(0);\n\
+                     uint row = get_global_id(1);\n\
+                     uint lx = get_local_id(0);\n\
+                     uint ly = get_local_id(1);\n\
+                     {out_t} acc = identity;\n\
+                     for (uint t = 0; t < (k + TILE - 1) / TILE; ++t) {{\n\
+                         uint ka = t * TILE + lx;\n\
+                         uint kb = t * TILE + ly;\n\
+                         a_tile[ly * TILE + lx] = (row < m && ka < k) ? a[row * k + ka] : identity;\n\
+                         b_tile[ly * TILE + lx] = (col < n && kb < k) ? b[kb * n + col] : identity;\n\
+                         barrier(CLK_LOCAL_MEM_FENCE);\n\
+                         uint span = min((uint)TILE, k - t * TILE);\n\
+                         for (uint kk = 0; kk < span; ++kk) {{\n\
+                             acc = {reduce_name}(acc, {zip_name}(a_tile[ly * TILE + kk], b_tile[kk * TILE + lx]));\n\
+                         }}\n\
+                         barrier(CLK_LOCAL_MEM_FENCE);\n\
+                     }}\n\
+                     if (row < m && col < n) c[row * n + col] = {write};\n\
+                 }}\n"
+            ),
+        )
+    };
+    let source = format!(
+        "// generated by SkelCL codegen: AllPairs skeleton ({strategy}{fused})\n\
+         {define}{zip_source}\n\
+         {reduce_source}\n\
+         {post_sources}{kernel}"
+    );
+    Program::from_source(program_name(&skeleton, &fn_name, &[in_t, out_t]), source)
+        .with_arg_count(n_args)
 }
 
 #[cfg(test)]
@@ -1111,20 +887,6 @@ mod tests {
         // and a different body changes the hash (cache key correctness)
         let c = map_program("f", "float f(float x){return x+2;}", "float", "float", 0);
         assert_ne!(a.hash(), c.hash());
-    }
-
-    #[test]
-    fn stencil_iter_program_is_distinct_from_the_apply_form() {
-        let src = "float f(__global float* in, int r, int c, uint nr, uint nc) { return 0.0f; }";
-        let apply = stencil2d_program("f", src, "float", "float", 1, "neumann");
-        let iter = stencil2d_iter_program("f", src, "float", 1, "neumann");
-        assert_ne!(apply.hash(), iter.hash());
-        assert!(iter.source.contains("skelcl_stencil2d_iter"));
-        assert!(iter.source.contains("ping-pong"));
-        assert_eq!(iter.n_args, 5);
-        // Boundary mode is part of the iter cache key too.
-        let wrap = stencil2d_iter_program("f", src, "float", 1, "wrap");
-        assert_ne!(iter.hash(), wrap.hash());
     }
 
     #[test]

@@ -404,12 +404,16 @@
 //! element-wise stages fold into the *reads* of the next stencil (or the
 //! k-fold of a reduction) and into the *writes* of the previous one, so
 //! each stencil anchor becomes exactly one fused launch and no
-//! intermediate matrix ever exists. The fused OpenCL programs come from
-//! dedicated [`codegen`] builders and are cached in the
-//! [`ProgramRegistry`] under a key derived from the exact stage chain —
-//! same chain, same program. Results are **bit-identical** to the unfused
-//! skeleton chain on every device count, boundary mode and distribution
-//! (the `prop_fusion` suite), and the launch count is observable as the
+//! intermediate matrix ever exists. The planner is also how a single
+//! skeleton call on a matrix runs: `Map::apply_matrix`,
+//! `Zip::apply_matrix` and `Stencil2D::apply` are one-stage pipelines, and
+//! a stencil stage takes the same [`Stencil2DView`] user function a
+//! [`Stencil2D`] does. The OpenCL programs come from one [`codegen`]
+//! builder per kernel shape and are cached in the [`ProgramRegistry`]
+//! under a key derived from the exact stage chain — same chain, same
+//! program. Results are **bit-identical** to the unfused skeleton chain on
+//! every device count, boundary mode and distribution (the `prop_fusion`
+//! suite), and the launch count is observable as the
 //! `skelcl.pipeline.groups` counter. The `skelcl-imgproc` Canny detector
 //! is the flagship user: gauss → sobel → non-maximum suppression →
 //! threshold compiles to three fused launches (the `fig_fusion` bench
@@ -417,8 +421,8 @@
 //!
 //! ```
 //! use skelcl::{
-//!     Boundary2D, Context, ContextConfig, Map, Matrix, PipeView, Pipeline, PipelineExpr,
-//!     Stencil2D, Stencil2DView, UserFn,
+//!     Boundary2D, Context, ContextConfig, Map, Matrix, Pipeline, PipelineExpr, Stencil2D,
+//!     Stencil2DView, UserFn,
 //! };
 //!
 //! let ctx = Context::new(ContextConfig::default().devices(2).cache_tag("doc-pipeline"));
@@ -430,30 +434,21 @@
 //!                        + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1));\n\
 //!      }";
 //!
+//! let cross4 = UserFn::new("cross4", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
+//!     0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
+//! });
+//!
 //! // scale → blur → square: one fused kernel launch, zero intermediates.
 //! let fused = Pipeline::start::<f32>()
 //!     .map(skelcl::skel_fn!(fn scale(x: f32) -> f32 { x * 0.5 }))
-//!     .stencil(
-//!         UserFn::new("cross4", CROSS_SRC,
-//!             |v: &PipeView<'_, f32>| {
-//!                 0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
-//!             }),
-//!         1,
-//!         Boundary2D::Neumann,
-//!     )
+//!     .stencil(cross4.clone(), 1, Boundary2D::Neumann)
 //!     .map(skelcl::skel_fn!(fn square(x: f32) -> f32 { x * x }))
 //!     .run(&img)
 //!     .unwrap();
 //!
-//! // The eager three-skeleton chain: three launches, two intermediates —
-//! // and exactly the same bits.
-//! let blur = Stencil2D::new(
-//!     UserFn::new("cross4", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
-//!         0.25 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1))
-//!     }),
-//!     1,
-//!     Boundary2D::Neumann,
-//! );
+//! // The eager three-skeleton chain: three launches (three one-stage
+//! // pipelines), two intermediates — and exactly the same bits.
+//! let blur = Stencil2D::new(cross4, 1, Boundary2D::Neumann);
 //! let step1 = Map::new(skelcl::skel_fn!(fn scale(x: f32) -> f32 { x * 0.5 }))
 //!     .apply_matrix(&img).unwrap();
 //! let step2 = blur.apply(&step1).unwrap();
@@ -492,7 +487,7 @@ pub use skeletons::{AllPairs, AllPairsStrategy};
 pub use skeletons::{Boundary, Map, MapArgs, MapOverlap, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Boundary2D, Stencil2D, Stencil2DView};
 pub use skeletons::{MapIndex, MapReduce, ReduceStrategy, ScanStrategy};
-pub use skeletons::{PipeView, Pipeline, PipelineExpr};
+pub use skeletons::{Pipeline, PipelineExpr};
 pub use skeletons::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
 pub use telemetry::{export_json, render_prometheus, run_report_json};
 pub use trace::{verify_span_nesting, SpanGuard, SpanRecord};

@@ -116,9 +116,8 @@ where
     where
         Fp: Fn(U) -> U + Send + Sync + Clone + 'static,
     {
-        let stage = FusedStage::new("map", user.name(), user.source(), user.static_ops());
         let f = user.func().clone();
-        self.post.push((stage, Arc::new(f)));
+        self.post.push((FusedStage::of("map", &user), Arc::new(f)));
         self
     }
 
@@ -127,49 +126,23 @@ where
     }
 
     /// The generated naive program (exposed for the cache experiments).
-    /// With fused post stages the fused builder is used, so the post chain
-    /// is part of the program name and the kernel cache key.
+    /// Fused post stages are part of the program name and the kernel cache
+    /// key.
     pub fn program(&self) -> Program {
-        if self.post.is_empty() {
-            codegen::allpairs_program(
-                self.zip.name(),
-                self.zip.source(),
-                self.reduce.name(),
-                self.reduce.source(),
-                T::TYPE_NAME,
-                U::TYPE_NAME,
-            )
-        } else {
-            self.fused_program(0)
-        }
+        self.tiled_program(0)
     }
 
-    /// The generated tiled program for a given tile dimension; the tile is
-    /// part of the program name and therefore of the kernel cache key.
+    /// The generated tiled program for a given tile dimension (`0` is the
+    /// naive form); the tile is part of the source and therefore of the
+    /// kernel cache key.
     pub fn tiled_program(&self, tile: usize) -> Program {
-        if self.post.is_empty() {
-            codegen::allpairs_tiled_program(
-                self.zip.name(),
-                self.zip.source(),
-                self.reduce.name(),
-                self.reduce.source(),
-                T::TYPE_NAME,
-                U::TYPE_NAME,
-                tile,
-            )
-        } else {
-            self.fused_program(tile)
-        }
-    }
-
-    fn fused_program(&self, tile: usize) -> Program {
-        let stages: Vec<FusedStage> = self.post.iter().map(|(s, _)| s.clone()).collect();
-        codegen::fused_allpairs_program(
+        let post: Vec<FusedStage> = self.post.iter().map(|(s, _)| s.clone()).collect();
+        codegen::allpairs_program(
             self.zip.name(),
             self.zip.source(),
             self.reduce.name(),
             self.reduce.source(),
-            &stages,
+            &post,
             T::TYPE_NAME,
             U::TYPE_NAME,
             tile,
@@ -250,13 +223,11 @@ where
             (b_parts, Vec::new(), None)
         };
 
-        let (compiled, tile) = match self.strategy {
-            AllPairsStrategy::Naive => (ctx.get_or_build(&self.program())?, 0),
-            AllPairsStrategy::Tiled { tile } => {
-                let tile = self.effective_tile(&ctx, tile);
-                (ctx.get_or_build(&self.tiled_program(tile))?, tile)
-            }
+        let tile = match self.strategy {
+            AllPairsStrategy::Naive => 0,
+            AllPairsStrategy::Tiled { tile } => self.effective_tile(&ctx, tile),
         };
+        let compiled = ctx.get_or_build(&self.tiled_program(tile))?;
 
         // Output parts mirror A's row geometry at C's width. Halo rows are
         // computed too (their input rows — full A rows plus all of B — are

@@ -10,13 +10,12 @@
 //!   image kernel).
 
 use crate::arguments::{Arguments, KernelEnv};
-use crate::codegen::{self, UserFn};
+use crate::codegen::{self, FusedStage, UserFn};
 use crate::error::Result;
 use crate::matrix::Matrix;
 use crate::meter;
-use crate::skeletons::{
-    alloc_matching_matrix_parts, alloc_matching_parts, linear_range, output_vector, range_2d,
-};
+use crate::skeletons::pipeline::{Pipeline, PipelineExpr};
+use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -26,8 +25,6 @@ use vgpu::{After, KernelBody, Program, Scalar as Element};
 pub struct Map<T: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Map::apply_matrix`].
-    program2d: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
 
@@ -42,12 +39,9 @@ where
     pub fn new(user: UserFn<F>) -> Self {
         let program =
             codegen::map_program(user.name(), user.source(), T::TYPE_NAME, U::TYPE_NAME, 0);
-        let program2d =
-            codegen::map2d_program(user.name(), user.source(), T::TYPE_NAME, U::TYPE_NAME);
         Map {
             user,
             program,
-            program2d,
             _pd: PhantomData,
         }
     }
@@ -165,11 +159,11 @@ where
         ))
     }
 
-    /// Apply the skeleton element-wise over a [`Matrix`], launching one 2D
-    /// NDRange per device part. Halo rows are computed locally too (they
-    /// are just copies of rows owned elsewhere), so the output's halo
-    /// coherence matches the input's and no exchange is ever needed for
-    /// element-wise chains.
+    /// Apply the skeleton element-wise over a [`Matrix`]: the one-stage
+    /// pipeline `Pipeline::start().map(f)`, one 2D NDRange per device part.
+    /// Halo rows are computed locally too (they are just copies of rows
+    /// owned elsewhere), so the output's halo coherence matches the input's
+    /// and no exchange is ever needed for element-wise chains.
     pub fn apply_matrix(&self, input: &Matrix<T>) -> Result<Matrix<U>> {
         let ctx = input.ctx().clone();
         let mut span = ctx.span("map.apply_matrix");
@@ -179,50 +173,14 @@ where
         });
         span.attr("distribution", format!("{:?}", input.distribution()));
         span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program2d)?;
-        let (rows, cols) = input.dims();
-        let in_parts = input.parts()?;
-        let halos_fresh = input.halos_fresh();
-        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for (ip, op) in in_parts.iter().zip(&out_parts) {
-            if ip.rows == 0 || ip.cols == 0 {
-                continue;
-            }
-            let f = self.user.func().clone();
-            let src = ip.buffer.clone();
-            let dst = op.buffer.clone();
-            // The part's own column count is the buffer's row stride (only
-            // equal to the matrix width for full-width parts).
-            let stride = ip.cols;
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(1) * stride + it.global_id(0);
-                    let x = it.read(&src, i);
-                    let (y, dyn_ops) = meter::metered(|| f(x));
-                    it.write(&dst, i, y);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(ip.device).launch(
-                &kernel,
-                range_2d(&ctx, ip.cols, ip.span_rows()),
-                After::Device,
-            )?;
-        }
-        Ok(Matrix::from_device_parts(
-            &ctx,
-            rows,
-            cols,
-            input.distribution(),
-            out_parts,
-            halos_fresh,
-        ))
+        // Build before touching the input; the planner's own lookup of the
+        // same program is then a registry hit.
+        ctx.get_or_build(&codegen::map2d_program(
+            &[FusedStage::of("map", &self.user)],
+            T::TYPE_NAME,
+            U::TYPE_NAME,
+        ))?;
+        Pipeline::start::<T>().map(self.user.clone()).run(input)
     }
 }
 

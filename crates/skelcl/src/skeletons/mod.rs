@@ -25,9 +25,7 @@ pub use allpairs::{AllPairs, AllPairsStrategy};
 pub use map::{Map, MapArgs, MapVoid};
 pub use map_overlap::{Boundary, MapOverlap, StencilView};
 pub use map_reduce::{MapIndex, MapReduce};
-pub use pipeline::{
-    PipeMap, PipeStencil, PipeStencilPair, PipeView, PipeZip, Pipeline, PipelineExpr, Start,
-};
+pub use pipeline::{PipeMap, PipeStencil, PipeStencilPair, PipeZip, Pipeline, PipelineExpr, Start};
 pub use reduce::{Reduce, ReduceStrategy};
 pub use reduce2d::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
 pub use scan::{Scan, ScanStrategy};

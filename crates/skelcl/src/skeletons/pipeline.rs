@@ -20,12 +20,16 @@
 //!   element-wise chain into the ascending-column row fold of
 //!   [`ReduceRows`](crate::ReduceRows) and writes a [`Vector`].
 //!
-//! Fused programs are generated by the `codegen` fused builders and cached
-//! in the [`ProgramRegistry`](crate::ProgramRegistry) under the joined
-//! stage names, like any single-skeleton program. Stencil reads resolve
-//! boundaries through [`PipeView`], whose `get` mirrors
-//! [`Stencil2DView`](crate::Stencil2DView) *bit for bit* — a single-stage
-//! pipeline produces the same bits as the unfused skeleton.
+//! The planner is the only way a 2D element-wise or stencil kernel is
+//! generated and launched: `Map::apply_matrix`, `Zip::apply_matrix` and
+//! [`Stencil2D::apply`](crate::Stencil2D::apply) are one-stage pipelines,
+//! and `Stencil2D::apply_streamed` / `iterate` launch through the same
+//! [`StencilLauncher`] with their own schedules. Programs come from one
+//! `codegen` builder per kernel shape and are cached in the
+//! [`ProgramRegistry`](crate::ProgramRegistry) like any other program.
+//! Stencil stages see their neighbourhood through
+//! [`Stencil2DView`](crate::Stencil2DView), the same view a lone
+//! `Stencil2D` call hands its user function.
 //!
 //! The technique follows the expression-template fusion of Demidov et al.
 //! ("Programming CUDA and OpenCL: A Case Study Using Modern C++
@@ -42,10 +46,12 @@ use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::matrix::{exchange_part_halos, Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
-use crate::skeletons::stencil2d::{alloc_mirror_parts, stale_free, Boundary2D};
+use crate::skeletons::stencil2d::{
+    alloc_mirror_parts, ensure_stencil_layout, stale_free, Boundary2D, Stencil2DView,
+};
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
 use crate::vector::{DevicePart, Distribution, Vector};
-use vgpu::{After, Item, KernelBody, Scalar as Element};
+use vgpu::{After, CompiledKernel, Event, Item, KernelBody, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
 /// the generated program's cache key).
@@ -55,11 +61,6 @@ fn chain_label(stages: &[FusedStage]) -> String {
         .map(|s| s.name.as_str())
         .collect::<Vec<_>>()
         .join("+")
-}
-
-/// A stage descriptor from a user function.
-fn stage_of<F>(kind: &'static str, user: &UserFn<F>) -> FusedStage {
-    FusedStage::new(kind, user.name(), user.source(), user.static_ops())
 }
 
 /// Reuse a part set as a different element type when the types are in fact
@@ -204,21 +205,29 @@ pub struct ElemPlan<J: Element, Op, I: Element> {
 
 /// A plan that yields elements of type `I` when the pipeline runs.
 ///
-/// `settle_with(g, gstages)` resolves the plan against a *suffix* op `g`
-/// (the stages stacked after it): chains with an unlaunched stencil group
-/// launch it — folding `g` into that kernel's writes — and return bare
-/// parts; pure element-wise chains stay pending (they fuse into whichever
-/// kernel consumes them next). The two cases return different `ElemPlan`
-/// instantiations, which the generic associated types encode statically.
+/// `settle_with(g, gstages, gfresh)` resolves the plan against a *suffix*
+/// op `g` (the stages stacked after it; `gfresh` says whether the halo
+/// rows of every side operand `g` reads are coherent): chains with an
+/// unlaunched stencil group launch it — folding `g` into that kernel's
+/// writes — and return bare parts; pure element-wise chains stay pending
+/// (they fuse into whichever kernel consumes them next, halo rows
+/// included, so `gfresh` joins the plan's halo freshness). The two cases
+/// return different `ElemPlan` instantiations, which the generic
+/// associated types encode statically.
 pub trait ReadPlan<I: Element>: Sized {
     type Base<V: Element, G: PixelOp<I, V>>: Element;
     type Op<V: Element, G: PixelOp<I, V>>: PixelOp<Self::Base<V, G>, V>;
+
+    /// Does the plan hold an unlaunched stencil group? Stages stacked on
+    /// it then fuse into that group's writes (owned rows only).
+    const PENDING_STENCIL: bool;
 
     #[allow(clippy::type_complexity)]
     fn settle_with<V: Element, G: PixelOp<I, V>>(
         self,
         g: G,
         gstages: Vec<FusedStage>,
+        gfresh: bool,
     ) -> Result<ElemPlan<Self::Base<V, G>, Self::Op<V, G>, V>>;
 
     fn geom(&self) -> &PlanGeom;
@@ -233,16 +242,19 @@ where
     type Base<V: Element, G: PixelOp<I, V>> = J;
     type Op<V: Element, G: PixelOp<I, V>> = OpSeq<Op, G, I>;
 
+    const PENDING_STENCIL: bool = false;
+
     fn settle_with<V: Element, G: PixelOp<I, V>>(
         mut self,
         g: G,
         gstages: Vec<FusedStage>,
+        gfresh: bool,
     ) -> Result<ElemPlan<J, OpSeq<Op, G, I>, V>> {
         self.stages.extend(gstages);
         Ok(ElemPlan {
             geom: self.geom,
             parts: self.parts,
-            halos_fresh: self.halos_fresh,
+            halos_fresh: self.halos_fresh && gfresh,
             op: OpSeq {
                 a: self.op,
                 b: g,
@@ -276,10 +288,13 @@ where
     type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<OpMap<F, M, V>, G, V>>;
     type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<OpMap<F, M, V>, G, V>>;
 
+    const PENDING_STENCIL: bool = P::PENDING_STENCIL;
+
     fn settle_with<W: Element, G: PixelOp<V, W>>(
         self,
         g: G,
         mut gstages: Vec<FusedStage>,
+        gfresh: bool,
     ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
         let mut stages = vec![self.stage];
         stages.append(&mut gstages);
@@ -293,6 +308,7 @@ where
                 _pd: PhantomData,
             },
             stages,
+            gfresh,
         )
     }
 
@@ -305,6 +321,8 @@ where
 pub struct Zipped<P, F, B: Element, M: Element, V: Element> {
     inner: P,
     parts: Arc<Vec<MatrixPart<B>>>,
+    /// Are the operand parts' halo rows coherent?
+    fresh: bool,
     f: F,
     stage: FusedStage,
     _pd: PhantomData<fn(M, B) -> V>,
@@ -321,10 +339,13 @@ where
     type Base<W: Element, G: PixelOp<V, W>> = P::Base<W, OpSeq<OpZip<F, B, M, V>, G, V>>;
     type Op<W: Element, G: PixelOp<V, W>> = P::Op<W, OpSeq<OpZip<F, B, M, V>, G, V>>;
 
+    const PENDING_STENCIL: bool = P::PENDING_STENCIL;
+
     fn settle_with<W: Element, G: PixelOp<V, W>>(
         self,
         g: G,
         mut gstages: Vec<FusedStage>,
+        gfresh: bool,
     ) -> Result<ElemPlan<Self::Base<W, G>, Self::Op<W, G>, W>> {
         let mut stages = vec![self.stage];
         stages.append(&mut gstages);
@@ -339,6 +360,7 @@ where
                 _pd: PhantomData,
             },
             stages,
+            gfresh && self.fresh,
         )
     }
 
@@ -365,20 +387,25 @@ where
     P: ReadPlan<A>,
     A: Element,
     I: Element,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: for<'v> Fn(&Stencil2DView<'v, A>) -> I + Send + Sync + Clone + 'static,
 {
     type Base<V: Element, G: PixelOp<I, V>> = V;
     type Op<V: Element, G: PixelOp<I, V>> = OpId<V>;
 
+    const PENDING_STENCIL: bool = true;
+
+    /// `g` runs at the write site, on owned rows only, so its operands'
+    /// halo rows are never read (`_gfresh` is moot).
     fn settle_with<V: Element, G: PixelOp<I, V>>(
         self,
         g: G,
         gstages: Vec<FusedStage>,
+        _gfresh: bool,
     ) -> Result<ElemPlan<V, OpId<V>, V>> {
         // Settle everything beneath first: a deeper stencil group launches
         // with its own post chain fused; element-wise stages directly
         // beneath this stencil stay pending and fuse into its reads.
-        let pre = self.inner.settle_with(OpId::new(), Vec::new())?;
+        let pre = self.inner.settle_with(OpId::new(), Vec::new(), true)?;
         launch_stencil_group(
             pre,
             self.eval,
@@ -396,92 +423,152 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The stencil view.
+// The stencil launcher.
 // ---------------------------------------------------------------------------
 
-/// A pipeline stencil stage's view of its neighbourhood: the fused twin of
-/// [`Stencil2DView`](crate::Stencil2DView), with identical boundary
-/// resolution (`get` computes the same bits for the same offsets). The
-/// difference is what a read *returns*: the fused pre-chain's value for
-/// that position, not the raw buffer element.
-pub struct PipeView<'a, T: Element> {
-    read: &'a (dyn Fn(usize, usize) -> T + 'a),
-    cols: usize,
-    n_rows: usize,
-    span_row: usize,
-    span_rows: usize,
-    g_row: usize,
-    col: usize,
+/// The planner's stencil launcher: one stencil kernel shape bound to its
+/// user functions — `pre` runs on every neighbourhood read, `eval` at the
+/// centre, `post` on the result before the single write — plus the
+/// compiled program and the `rows × cols` matrix it launches over.
+/// Pipeline stencil groups, `Stencil2D::apply_streamed` and every round of
+/// `Stencil2D::iterate` launch through it.
+pub(crate) struct StencilLauncher<Pre, E, Post, A, I> {
+    ctx: Context,
+    compiled: CompiledKernel,
+    pre: Pre,
+    eval: E,
+    post: Post,
     radius: usize,
     boundary: Boundary2D,
+    /// Summed static cost of every stage in the kernel.
+    static_ops: u64,
+    rows: usize,
+    cols: usize,
+    _pd: PhantomData<fn(A) -> I>,
 }
 
-impl<'a, T: Element> PipeView<'a, T> {
-    /// The neighbour at `(row + dr, col + dc)`; `(0, 0)` is the element
-    /// itself. Panics if `|dr|` or `|dc|` exceeds the stencil radius —
-    /// the same contract (and the same index arithmetic, case for case)
-    /// as `Stencil2DView::get`, which is what keeps single-stage pipelines
-    /// bit-identical to the unfused skeleton.
-    #[inline]
-    pub fn get(&self, dr: isize, dc: isize) -> T {
-        assert!(
-            dr.unsigned_abs() <= self.radius && dc.unsigned_abs() <= self.radius,
-            "stencil access ({dr}, {dc}) exceeds radius {}",
-            self.radius
-        );
-        let n_rows = self.n_rows as isize;
-        let n_cols = self.cols as isize;
-        let row_delta = match self.boundary {
-            Boundary2D::Wrap => dr,
-            Boundary2D::Neumann => {
-                let clamped = (self.g_row as isize + dr).clamp(0, n_rows - 1);
-                clamped - self.g_row as isize
-            }
-            Boundary2D::Zero => {
-                let target = self.g_row as isize + dr;
-                if target < 0 || target >= n_rows {
-                    return T::default();
-                }
-                dr
-            }
-        };
-        let col = match self.boundary {
-            Boundary2D::Wrap => (self.col as isize + dc).rem_euclid(n_cols),
-            Boundary2D::Neumann => (self.col as isize + dc).clamp(0, n_cols - 1),
-            Boundary2D::Zero => {
-                let target = self.col as isize + dc;
-                if target < 0 || target >= n_cols {
-                    return T::default();
-                }
-                target
-            }
-        };
-        let mut span_row = self.span_row as isize + row_delta;
-        if span_row < 0 || span_row >= self.span_rows as isize {
-            // Same beyond-span rule as `Stencil2DView::get`: span rows are
-            // consecutive global rows (mod n_rows) whenever this is
-            // reachable, so reduce modulo the matrix height.
-            debug_assert!(
-                self.span_rows >= self.n_rows,
-                "beyond-span stencil read with a span narrower than the matrix"
-            );
-            span_row = span_row.rem_euclid(n_rows);
+impl<E, A: Element, I: Element> StencilLauncher<OpId<A>, E, OpId<I>, A, I> {
+    /// The launcher of a lone stencil stage: nothing fused into its reads
+    /// or its write.
+    pub(crate) fn single(
+        ctx: &Context,
+        compiled: CompiledKernel,
+        user: &UserFn<E>,
+        radius: usize,
+        boundary: Boundary2D,
+        rows: usize,
+        cols: usize,
+    ) -> Self
+    where
+        E: Clone,
+    {
+        StencilLauncher {
+            ctx: ctx.clone(),
+            compiled,
+            pre: OpId::new(),
+            eval: user.func().clone(),
+            post: OpId::new(),
+            radius,
+            boundary,
+            static_ops: user.static_ops(),
+            rows,
+            cols,
+            _pd: PhantomData,
         }
-        (self.read)(span_row as usize, col as usize)
     }
+}
 
-    /// The centre's global position `(row, col)`.
-    pub fn position(&self) -> (usize, usize) {
-        (self.g_row, self.col)
-    }
-
-    /// The matrix dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.n_rows, self.cols)
-    }
-
-    pub fn radius(&self) -> usize {
-        self.radius
+impl<Pre, E, Post, A, I> StencilLauncher<Pre, E, Post, A, I>
+where
+    A: Element,
+    I: Element,
+    E: for<'v> Fn(&Stencil2DView<'v, A>) -> I + Send + Sync + Clone + 'static,
+{
+    /// Launch one stencil pass of part `pi` over `segments` of its owned
+    /// rows: each `(start, len)` names owned rows `[start, start + len)`,
+    /// and the launch covers their disjoint union in one kernel (the
+    /// interior / boundary split of the overlapped iterate packs the top
+    /// and bottom bands into a single launch this way). `src` is read with
+    /// its halo rows assumed coherent for the rows the segments read; the
+    /// same owned rows of `dst` are written. Halo rows of `dst` are never
+    /// written, so they go stale.
+    ///
+    /// `after` is the launch's dependency policy on the main queue:
+    /// [`After::Device`] serializes against the whole device, while
+    /// [`After::Events`] orders the kernel only by the queue, the events,
+    /// and the compute engine. Returns the launch event (`None` when the
+    /// segments are empty). Either way every covered element computes the
+    /// exact same value — the split changes the modeled timeline, never
+    /// the data.
+    pub(crate) fn launch<J: Element, V: Element>(
+        &self,
+        pi: usize,
+        src: &MatrixPart<J>,
+        dst: &MatrixPart<V>,
+        segments: &[(usize, usize)],
+        after: After<'_>,
+    ) -> Result<Option<Event>>
+    where
+        Pre: PixelOp<J, A>,
+        Post: PixelOp<I, V>,
+    {
+        let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
+        let (rows, cols) = (self.rows, self.cols);
+        if launch_rows == 0 || cols == 0 {
+            return Ok(None);
+        }
+        let (radius, boundary, static_ops) = (self.radius, self.boundary, self.static_ops);
+        let (pre, eval, post) = (self.pre.clone(), self.eval.clone(), self.post.clone());
+        let src_buf = src.buffer.clone();
+        let dst_buf = dst.buffer.clone();
+        let halo_above = src.halo_above;
+        let row_offset = src.row_offset;
+        let span_rows = src.span_rows();
+        let segs: Arc<[(usize, usize)]> = segments.into();
+        let body: KernelBody = Arc::new(move |wg| {
+            wg.for_each_item(|it| {
+                if !it.in_bounds() {
+                    return;
+                }
+                let col = it.global_id(0);
+                // Map the compact launch row back to its owned row through
+                // the segment list (at most two segments).
+                let mut launch_row = it.global_id(1);
+                let mut local_row = 0;
+                for &(start, len) in segs.iter() {
+                    if launch_row < len {
+                        local_row = start + launch_row;
+                        break;
+                    }
+                    launch_row -= len;
+                }
+                let span_row = halo_above + local_row;
+                let read = |sr: usize, c: usize| -> A {
+                    let raw = it.read(&src_buf, sr * cols + c);
+                    pre.apply(it, pi, sr, c, raw)
+                };
+                let view = Stencil2DView {
+                    read: &read,
+                    cols,
+                    n_rows: rows,
+                    span_row,
+                    span_rows,
+                    g_row: row_offset + local_row,
+                    col,
+                    radius,
+                    boundary,
+                };
+                let (y, dyn_ops) = meter::metered(|| {
+                    let v = eval(&view);
+                    post.apply(it, pi, span_row, col, v)
+                });
+                it.write(&dst_buf, span_row * cols + col, y);
+                it.work(static_ops + dyn_ops);
+            });
+        });
+        let kernel = self.compiled.with_body(body);
+        let nd = range_2d(&self.ctx, cols, launch_rows);
+        Ok(Some(self.ctx.queue(src.device).launch(&kernel, nd, after)?))
     }
 }
 
@@ -508,7 +595,7 @@ where
     I: Element,
     V: Element,
     OpPre: PixelOp<J, A>,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: for<'v> Fn(&Stencil2DView<'v, A>) -> I + Send + Sync + Clone + 'static,
     G: PixelOp<I, V>,
 {
     let ElemPlan {
@@ -539,7 +626,7 @@ where
         exchange_part_halos(&ctx, &parts, rows, cols, skip_wrapped)?;
     }
 
-    let program = codegen::fused_stencil2d_program(
+    let program = codegen::stencil2d_program(
         &all_stages,
         J::TYPE_NAME,
         V::TYPE_NAME,
@@ -548,53 +635,21 @@ where
     );
     let compiled = ctx.get_or_build(&program)?;
     let out_parts: Vec<MatrixPart<V>> = alloc_mirror_parts(&ctx, &parts, cols)?;
-    let static_ops: u64 = all_stages.iter().map(|s| s.static_ops).sum();
-
+    let launcher = StencilLauncher {
+        ctx: ctx.clone(),
+        compiled,
+        pre: pre_op,
+        eval,
+        post: post_op,
+        radius,
+        boundary,
+        static_ops: all_stages.iter().map(|s| s.static_ops).sum(),
+        rows,
+        cols,
+        _pd: PhantomData,
+    };
     for (pi, (ip, op_part)) in parts.iter().zip(&out_parts).enumerate() {
-        if ip.rows == 0 || cols == 0 {
-            continue;
-        }
-        let src = ip.buffer.clone();
-        let dst = op_part.buffer.clone();
-        let pre_op = pre_op.clone();
-        let post = post_op.clone();
-        let eval = eval.clone();
-        let halo_above = ip.halo_above;
-        let row_offset = ip.row_offset;
-        let span_rows = ip.span_rows();
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let col = it.global_id(0);
-                let local_row = it.global_id(1);
-                let read = |sr: usize, c: usize| -> A {
-                    let raw = it.read(&src, sr * cols + c);
-                    pre_op.apply(it, pi, sr, c, raw)
-                };
-                let view = PipeView {
-                    read: &read,
-                    cols,
-                    n_rows: rows,
-                    span_row: halo_above + local_row,
-                    span_rows,
-                    g_row: row_offset + local_row,
-                    col,
-                    radius,
-                    boundary,
-                };
-                let (y, dyn_ops) = meter::metered(|| {
-                    let v = eval(&view);
-                    post.apply(it, pi, halo_above + local_row, col, v)
-                });
-                it.write(&dst, (halo_above + local_row) * cols + col, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = compiled.with_body(body);
-        ctx.queue(ip.device)
-            .launch(&kernel, range_2d(&ctx, cols, ip.rows), After::Device)?;
+        launcher.launch(pi, ip, op_part, &[(0, ip.rows)], After::Device)?;
     }
     ctx.metrics().counter("skelcl.pipeline.groups").inc();
     ctx.metrics()
@@ -647,7 +702,7 @@ where
         span.attr("stages", chain_label(&self.stages));
         span.attr("devices", ctx.n_devices().to_string());
 
-        let program = codegen::fused_map2d_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME);
+        let program = codegen::map2d_program(&self.stages, J::TYPE_NAME, I::TYPE_NAME);
         let compiled = ctx.get_or_build(&program)?;
         let out_parts: Vec<MatrixPart<I>> = alloc_matching_matrix_parts(&ctx, &self.parts)?;
         let static_ops: u64 = self.stages.iter().map(|s| s.static_ops).sum();
@@ -714,7 +769,7 @@ where
         );
         span.attr("devices", ctx.n_devices().to_string());
 
-        let program = codegen::fused_reduce_rows_program(
+        let program = codegen::map_reduce_rows_program(
             &self.stages,
             reduce.name(),
             reduce.source(),
@@ -801,6 +856,11 @@ where
 /// erasure.
 pub trait PipeConsumer<I: Element> {
     type Output;
+
+    /// Does a stencil stage read this consumer's input at halo rows (the
+    /// pending element-wise chain fuses into its neighbourhood reads)?
+    const HALO_READ: bool;
+
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Self::Output>;
 }
 
@@ -819,6 +879,8 @@ where
     C: PipeConsumer<V>,
 {
     type Output = C::Output;
+
+    const HALO_READ: bool = C::HALO_READ;
 
     fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
         self.next.consume(Mapped {
@@ -848,6 +910,8 @@ where
 {
     type Output = C::Output;
 
+    const HALO_READ: bool = C::HALO_READ;
+
     fn consume<P: ReadPlan<M>>(self, plan: P) -> Result<C::Output> {
         let geom = plan.geom().clone();
         if self.other.dims() != (geom.rows, geom.cols) {
@@ -862,10 +926,20 @@ where
         if self.other.distribution() != geom.dist {
             self.other.set_distribution(geom.dist)?;
         }
-        let parts = self.other.parts_with_fresh_halos()?;
+        // The operand's halo rows are read only when a stencil reads
+        // through this zip; a zip folded into a stencil's writes or a row
+        // fold reads owned rows, and a materialized element-wise chain
+        // passes the operand's halo freshness on to its output.
+        let (parts, fresh) = if C::HALO_READ && !P::PENDING_STENCIL {
+            (self.other.parts_with_fresh_halos()?, true)
+        } else {
+            let parts = self.other.parts()?;
+            (parts, self.other.halos_fresh())
+        };
         self.next.consume(Zipped {
             inner: plan,
             parts: Arc::new(parts),
+            fresh,
             f: self.f,
             stage: self.stage,
             _pd: PhantomData,
@@ -886,10 +960,12 @@ impl<A, I, E, C> PipeConsumer<A> for StencilConsumer<E, A, I, C>
 where
     A: Element,
     I: Element,
-    E: for<'v> Fn(&PipeView<'v, A>) -> I + Send + Sync + Clone + 'static,
+    E: for<'v> Fn(&Stencil2DView<'v, A>) -> I + Send + Sync + Clone + 'static,
     C: PipeConsumer<I>,
 {
     type Output = C::Output;
+
+    const HALO_READ: bool = true;
 
     fn consume<P: ReadPlan<A>>(self, plan: P) -> Result<C::Output> {
         self.next.consume(LazyStencil {
@@ -909,8 +985,10 @@ pub struct FinishConsumer;
 impl<I: Element> PipeConsumer<I> for FinishConsumer {
     type Output = FinishedParts<I>;
 
+    const HALO_READ: bool = false;
+
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<FinishedParts<I>> {
-        plan.settle_with(OpId::new(), Vec::new())?.finish()
+        plan.settle_with(OpId::new(), Vec::new(), true)?.finish()
     }
 }
 
@@ -927,8 +1005,10 @@ where
 {
     type Output = Vector<I>;
 
+    const HALO_READ: bool = false;
+
     fn consume<P: ReadPlan<I>>(self, plan: P) -> Result<Vector<I>> {
-        plan.settle_with(OpId::new(), Vec::new())?
+        plan.settle_with(OpId::new(), Vec::new(), true)?
             .reduce_rows(&self.reduce, self.identity)
     }
 }
@@ -1010,8 +1090,9 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
         }
     }
 
-    /// Append a stencil stage `V f(&PipeView<Out>)` of the given radius
-    /// and boundary mode. Anchors one fused kernel launch.
+    /// Append a stencil stage `V f(&Stencil2DView<Out>)` of the given
+    /// radius and boundary mode — the same user function a `Stencil2D`
+    /// takes. Anchors one fused kernel launch.
     fn stencil<V, F>(
         self,
         user: UserFn<F>,
@@ -1020,7 +1101,7 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
     ) -> PipeStencil<Self, F, V>
     where
         V: Element,
-        F: for<'v> Fn(&PipeView<'v, Self::Out>) -> V + Send + Sync + Clone + 'static,
+        F: for<'v> Fn(&Stencil2DView<'v, Self::Out>) -> V + Send + Sync + Clone + 'static,
     {
         PipeStencil {
             prev: self,
@@ -1047,8 +1128,8 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
         V1: Element,
         V2: Element,
         V: Element,
-        FA: for<'v> Fn(&PipeView<'v, Self::Out>) -> V1 + Send + Sync + Clone + 'static,
-        FB: for<'v> Fn(&PipeView<'v, Self::Out>) -> V2 + Send + Sync + Clone + 'static,
+        FA: for<'v> Fn(&Stencil2DView<'v, Self::Out>) -> V1 + Send + Sync + Clone + 'static,
+        FB: for<'v> Fn(&Stencil2DView<'v, Self::Out>) -> V2 + Send + Sync + Clone + 'static,
         FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
     {
         PipeStencilPair {
@@ -1098,8 +1179,9 @@ pub trait PipelineExpr<T: Element>: Sized + Clone {
 
 /// Plan the input layout and build the source plan: stencil chains widen a
 /// row-block halo to the maximum radius (converting column blocks, as
-/// `Stencil2D` does) and guarantee halo coherence; pure element-wise
-/// chains take the parts as they are. Opens the `pipeline.run` span.
+/// [`ensure_stencil_layout`] does for `Stencil2D`) and guarantee halo
+/// coherence; pure element-wise chains take the parts as they are. Opens
+/// the `pipeline.run` span.
 fn prepared_source<T: Element, E: PipelineExpr<T>>(
     expr: &E,
     input: &Matrix<T>,
@@ -1126,22 +1208,14 @@ fn prepared_source<T: Element, E: PipelineExpr<T>>(
     span.attr("devices", ctx.n_devices().to_string());
 
     let radius = expr.max_radius();
-    if radius > 0 {
-        match input.distribution() {
-            MatrixDistribution::RowBlock { halo } if halo < radius => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
-            }
-            MatrixDistribution::ColBlock => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
-            }
-            _ => {}
-        }
+    if n_stencils > 0 {
+        ensure_stencil_layout(input, radius)?;
     }
     if row_fold && matches!(input.distribution(), MatrixDistribution::ColBlock) {
         // The fused row fold reads whole rows; column blocks cannot.
         input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
     }
-    let (parts, halos_fresh) = if radius > 0 {
+    let (parts, halos_fresh) = if n_stencils > 0 {
         (input.parts_with_fresh_halos()?, true)
     } else {
         (input.parts()?, input.halos_fresh())
@@ -1198,7 +1272,7 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("map", &self.user));
+        out.push(FusedStage::of("map", &self.user));
     }
 
     fn max_radius(&self) -> usize {
@@ -1214,7 +1288,7 @@ where
             src,
             MapConsumer {
                 f: self.user.func().clone(),
-                stage: stage_of("map", &self.user),
+                stage: FusedStage::of("map", &self.user),
                 next: consumer,
                 _pd: PhantomData,
             },
@@ -1243,7 +1317,7 @@ where
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("zip", &self.user));
+        out.push(FusedStage::of("zip", &self.user));
     }
 
     fn max_radius(&self) -> usize {
@@ -1260,7 +1334,7 @@ where
             ZipConsumer {
                 other: self.other.clone(),
                 f: self.user.func().clone(),
-                stage: stage_of("zip", &self.user),
+                stage: FusedStage::of("zip", &self.user),
                 next: consumer,
                 _pd: PhantomData,
             },
@@ -1283,13 +1357,13 @@ where
     T: Element,
     P: PipelineExpr<T>,
     V: Element,
-    F: for<'v> Fn(&PipeView<'v, P::Out>) -> V + Send + Sync + Clone + 'static,
+    F: for<'v> Fn(&Stencil2DView<'v, P::Out>) -> V + Send + Sync + Clone + 'static,
 {
     type Out = V;
 
     fn describe(&self, out: &mut Vec<FusedStage>) {
         self.prev.describe(out);
-        out.push(stage_of("stencil", &self.user));
+        out.push(FusedStage::of("stencil", &self.user));
     }
 
     fn max_radius(&self) -> usize {
@@ -1305,7 +1379,7 @@ where
             src,
             StencilConsumer {
                 eval: self.user.func().clone(),
-                stage: stage_of("stencil", &self.user),
+                stage: FusedStage::of("stencil", &self.user),
                 radius: self.radius,
                 boundary: self.boundary,
                 next: consumer,
@@ -1353,23 +1427,23 @@ where
     }
 }
 
-/// Force a pair-combining closure into the higher-ranked `Fn(&PipeView)`
+/// Force a pair-combining closure into the higher-ranked `Fn(&Stencil2DView)`
 /// shape the stencil launcher expects.
 fn pair_eval<M, V1, V2, V, FA, FB, FC>(
     fa: FA,
     fb: FB,
     fc: FC,
-) -> impl for<'v> Fn(&PipeView<'v, M>) -> V + Send + Sync + Clone + 'static
+) -> impl for<'v> Fn(&Stencil2DView<'v, M>) -> V + Send + Sync + Clone + 'static
 where
     M: Element,
     V1: Element,
     V2: Element,
     V: Element,
-    FA: for<'v> Fn(&PipeView<'v, M>) -> V1 + Send + Sync + Clone + 'static,
-    FB: for<'v> Fn(&PipeView<'v, M>) -> V2 + Send + Sync + Clone + 'static,
+    FA: for<'v> Fn(&Stencil2DView<'v, M>) -> V1 + Send + Sync + Clone + 'static,
+    FB: for<'v> Fn(&Stencil2DView<'v, M>) -> V2 + Send + Sync + Clone + 'static,
     FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
 {
-    move |view: &PipeView<'_, M>| fc(fa(view), fb(view))
+    move |view: &Stencil2DView<'_, M>| fc(fa(view), fb(view))
 }
 
 impl<T, P, FA, V1, FB, V2, FC, V> PipelineExpr<T> for PipeStencilPair<P, FA, V1, FB, V2, FC, V>
@@ -1379,8 +1453,8 @@ where
     V1: Element,
     V2: Element,
     V: Element,
-    FA: for<'v> Fn(&PipeView<'v, P::Out>) -> V1 + Send + Sync + Clone + 'static,
-    FB: for<'v> Fn(&PipeView<'v, P::Out>) -> V2 + Send + Sync + Clone + 'static,
+    FA: for<'v> Fn(&Stencil2DView<'v, P::Out>) -> V1 + Send + Sync + Clone + 'static,
+    FB: for<'v> Fn(&Stencil2DView<'v, P::Out>) -> V2 + Send + Sync + Clone + 'static,
     FC: Fn(V1, V2) -> V + Send + Sync + Clone + 'static,
 {
     type Out = V;
@@ -1470,19 +1544,6 @@ mod tests {
         )
     }
 
-    fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-        UserFn::new(
-            "cross_sum",
-            "float cross_sum(__global float* in, int r, int c, uint nr, uint nc) {\n\
-             return stencil_at(in,r,c,nr,nc,-1,0) + stencil_at(in,r,c,nr,nc,1,0)\n\
-                  + stencil_at(in,r,c,nr,nc,0,-1) + stencil_at(in,r,c,nr,nc,0,1)\n\
-                  + stencil_at(in,r,c,nr,nc,0,0);\n}",
-            |v: &PipeView<'_, f32>| {
-                v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1) + v.get(0, 0)
-            },
-        )
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1527,7 +1588,7 @@ mod tests {
                 let ctx = ctx(devices);
                 let m = test_matrix(&ctx, 13, 5, 3);
                 let fused = Pipeline::start::<f32>()
-                    .stencil(cross_pipe(), 1, boundary)
+                    .stencil(cross_user(), 1, boundary)
                     .run(&m)
                     .unwrap();
                 let unfused = Stencil2D::new(cross_user(), 1, boundary).apply(&m).unwrap();
@@ -1550,7 +1611,7 @@ mod tests {
             .unwrap_or(0);
         let fused = Pipeline::start::<f32>()
             .map(scale_fn())
-            .stencil(cross_pipe(), 1, Boundary2D::Neumann)
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
             .map(square_fn())
             .run(&m)
             .unwrap();
@@ -1585,6 +1646,102 @@ mod tests {
             bits(&fused.to_vec().unwrap()),
             bits(&unfused.to_vec().unwrap())
         );
+    }
+
+    /// A stencil's output with stale halo rows (it writes owned rows only).
+    fn stale_halo_matrix(ctx: &Context, seed: u32) -> Matrix<f32> {
+        let src = test_matrix(ctx, 12, 7, seed);
+        src.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        let out = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann)
+            .apply(&src)
+            .unwrap();
+        assert!(!out.halos_fresh());
+        out
+    }
+
+    #[test]
+    fn element_wise_zip_leaves_stale_operand_halos_alone() {
+        let ctx = ctx(2);
+        let lhs = test_matrix(&ctx, 12, 7, 11);
+        lhs.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        lhs.ensure_on_devices().unwrap();
+        let rhs = stale_halo_matrix(&ctx, 12);
+        let before = ctx.platform().stats_snapshot();
+        let out = Pipeline::start::<f32>()
+            .zip_with(&rhs, add_fn())
+            .run(&lhs)
+            .unwrap();
+        let delta = ctx.platform().stats_snapshot() - before;
+        assert_eq!(delta.d2d_transfers, 0, "no halo row of the operand is read");
+        assert!(!out.halos_fresh(), "the operand's stale halos pass through");
+        let unfused = Zip::new(add_fn()).apply_matrix(&lhs, &rhs).unwrap();
+        assert_eq!(
+            bits(&out.to_vec().unwrap()),
+            bits(&unfused.to_vec().unwrap())
+        );
+    }
+
+    #[test]
+    fn zip_read_by_a_stencil_refreshes_operand_halos() {
+        let ctx = ctx(2);
+        let lhs = test_matrix(&ctx, 12, 7, 13);
+        lhs.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
+            .unwrap();
+        lhs.ensure_on_devices().unwrap();
+        let rhs = stale_halo_matrix(&ctx, 14);
+        let before = ctx.platform().stats_snapshot();
+        let fused = Pipeline::start::<f32>()
+            .zip_with(&rhs, add_fn())
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .run(&lhs)
+            .unwrap();
+        let delta = ctx.platform().stats_snapshot() - before;
+        assert!(
+            delta.d2d_transfers > 0,
+            "the stencil reads operand halo rows"
+        );
+        assert!(rhs.halos_fresh());
+        let zipped = Zip::new(add_fn()).apply_matrix(&lhs, &rhs).unwrap();
+        let unfused = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann)
+            .apply(&zipped)
+            .unwrap();
+        assert_eq!(
+            bits(&fused.to_vec().unwrap()),
+            bits(&unfused.to_vec().unwrap())
+        );
+    }
+
+    #[test]
+    fn skeleton_calls_and_one_stage_pipelines_share_one_program() {
+        let ctx = ctx(2);
+        let m = test_matrix(&ctx, 10, 6, 15);
+        let other = test_matrix(&ctx, 10, 6, 16);
+
+        let built = ctx.programs_built();
+        Map::new(scale_fn()).apply_matrix(&m).unwrap();
+        Pipeline::start::<f32>().map(scale_fn()).run(&m).unwrap();
+        assert_eq!(ctx.programs_built() - built, 1, "map");
+
+        let built = ctx.programs_built();
+        Zip::new(add_fn()).apply_matrix(&m, &other).unwrap();
+        Pipeline::start::<f32>()
+            .zip_with(&other, add_fn())
+            .run(&m)
+            .unwrap();
+        assert_eq!(ctx.programs_built() - built, 1, "zip");
+
+        let built = ctx.programs_built();
+        let st = Stencil2D::new(cross_user(), 1, Boundary2D::Neumann);
+        st.apply(&m).unwrap();
+        st.apply_streamed(&test_matrix(&ctx, 10, 6, 17), 3).unwrap();
+        st.iterate(&m, 3).unwrap();
+        Pipeline::start::<f32>()
+            .stencil(cross_user(), 1, Boundary2D::Neumann)
+            .run(&m)
+            .unwrap();
+        assert_eq!(ctx.programs_built() - built, 1, "stencil");
     }
 
     #[test]
@@ -1629,16 +1786,6 @@ mod tests {
                     "float {name}(__global float* in, int r, int c, uint nr, uint nc) {{\n\
                      return stencil_at(in,r,c,nr,nc,0,{dc});\n}}"
                 ),
-                move |v: &PipeView<'_, f32>| v.get(0, dc),
-            )
-        };
-        let shift_user_unfused = |dc: isize, name: &'static str| {
-            UserFn::new(
-                name,
-                format!(
-                    "float {name}(__global float* in, int r, int c, uint nr, uint nc) {{\n\
-                     return stencil_at(in,r,c,nr,nc,0,{dc});\n}}"
-                ),
                 move |v: &Stencil2DView<'_, f32>| v.get(0, dc),
             )
         };
@@ -1655,10 +1802,10 @@ mod tests {
                 )
                 .run(&m)
                 .unwrap();
-            let left = Stencil2D::new(shift_user_unfused(-1, "left"), 1, Boundary2D::Zero)
+            let left = Stencil2D::new(shift_user(-1, "left"), 1, Boundary2D::Zero)
                 .apply(&m)
                 .unwrap();
-            let right = Stencil2D::new(shift_user_unfused(1, "right"), 1, Boundary2D::Zero)
+            let right = Stencil2D::new(shift_user(1, "right"), 1, Boundary2D::Zero)
                 .apply(&m)
                 .unwrap();
             let unfused = Zip::new(add_fn()).apply_matrix(&left, &right).unwrap();
@@ -1674,8 +1821,8 @@ mod tests {
     fn fused_program_names_key_on_stage_order() {
         let a = FusedStage::new("map", "f", "float f(float x){return x;}", 1);
         let b = FusedStage::new("map", "g", "float g(float x){return x;}", 1);
-        let ab = codegen::fused_map2d_program(&[a.clone(), b.clone()], "float", "float");
-        let ba = codegen::fused_map2d_program(&[b, a], "float", "float");
+        let ab = codegen::map2d_program(&[a.clone(), b.clone()], "float", "float");
+        let ba = codegen::map2d_program(&[b, a], "float", "float");
         assert_ne!(
             ab.hash(),
             ba.hash(),

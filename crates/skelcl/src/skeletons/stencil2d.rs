@@ -14,18 +14,16 @@
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
 //! a torus, `Zero` reads the element type's default.
 
-use crate::codegen::{self, UserFn};
+use crate::codegen::{self, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
     exchange_part_halos, exchange_part_halos_overlapped, Matrix, MatrixDistribution, MatrixPart,
     UploadChunk,
 };
-use crate::meter;
-use crate::skeletons::range_2d;
+use crate::skeletons::pipeline::{Pipeline, PipelineExpr, StencilLauncher};
 use std::marker::PhantomData;
-use std::sync::Arc;
-use vgpu::{After, Buffer, CompiledKernel, Event, Item, KernelBody, Program, Scalar as Element};
+use vgpu::{After, Event, Program, Scalar as Element};
 
 /// What out-of-matrix neighbourhood positions read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,23 +50,29 @@ impl Boundary2D {
 
 /// The customizing function's view of one stencil application: counted
 /// access to the `[-radius, +radius]²` neighbourhood of its element.
+///
+/// This is the one stencil view: a `Stencil2D` call and a pipeline
+/// `stencil` stage hand their user functions the same type. A read goes
+/// through `read(span_row, col)`, which returns the element the kernel's
+/// input holds there — the raw buffer element for a plain stencil, or the
+/// value of the element-wise stages fused into the neighbourhood reads.
 pub struct Stencil2DView<'a, T: Element> {
-    buf: &'a Buffer<T>,
+    /// The value at `(span row, column)` of the part's span.
+    pub(crate) read: &'a (dyn Fn(usize, usize) -> T + 'a),
     /// Matrix width (also the part buffer's row stride).
-    cols: usize,
+    pub(crate) cols: usize,
     /// Matrix height.
-    n_rows: usize,
+    pub(crate) n_rows: usize,
     /// The centre's row within the part's span buffer.
-    span_row: usize,
+    pub(crate) span_row: usize,
     /// Total rows in the part's span buffer.
-    span_rows: usize,
+    pub(crate) span_rows: usize,
     /// The centre's global row.
-    g_row: usize,
+    pub(crate) g_row: usize,
     /// The centre's column.
-    col: usize,
-    radius: usize,
-    boundary: Boundary2D,
-    item: &'a Item<'a>,
+    pub(crate) col: usize,
+    pub(crate) radius: usize,
+    pub(crate) boundary: Boundary2D,
 }
 
 impl<'a, T: Element> Stencil2DView<'a, T> {
@@ -127,8 +131,7 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
             );
             span_row = span_row.rem_euclid(n_rows);
         }
-        self.item
-            .read(self.buf, span_row as usize * self.cols + col as usize)
+        (self.read)(span_row as usize, col as usize)
     }
 
     /// The centre's global position `(row, col)`.
@@ -147,14 +150,17 @@ impl<'a, T: Element> Stencil2DView<'a, T> {
 }
 
 /// The Stencil2D skeleton.
+///
+/// A one-stage [`Pipeline`]: [`Stencil2D::apply`] runs
+/// `Pipeline::start().stencil(..)`, while [`Stencil2D::apply_streamed`] and
+/// [`Stencil2D::iterate`] keep their own schedules but launch through the
+/// planner's stencil launcher. All three launch the one program
+/// [`Stencil2D::program`] returns.
 pub struct Stencil2D<T: Element, U: Element, F> {
     user: UserFn<F>,
     radius: usize,
     boundary: Boundary2D,
     program: Program,
-    /// The ping-pong form behind [`Stencil2D::iterate`] (only launchable
-    /// when `U == T`; generating the source is free either way).
-    iter_program: Program,
     _pd: PhantomData<fn(T) -> U>,
 }
 
@@ -166,17 +172,9 @@ where
 {
     pub fn new(user: UserFn<F>, radius: usize, boundary: Boundary2D) -> Self {
         let program = codegen::stencil2d_program(
-            user.name(),
-            user.source(),
+            &[FusedStage::of("stencil", &user)],
             T::TYPE_NAME,
             U::TYPE_NAME,
-            radius,
-            boundary.codegen_name(),
-        );
-        let iter_program = codegen::stencil2d_iter_program(
-            user.name(),
-            user.source(),
-            T::TYPE_NAME,
             radius,
             boundary.codegen_name(),
         );
@@ -185,7 +183,6 @@ where
             radius,
             boundary,
             program,
-            iter_program,
             _pd: PhantomData,
         }
     }
@@ -203,129 +200,6 @@ where
         self.boundary
     }
 
-    /// A RowBlock halo narrower than the stencil radius cannot supply the
-    /// neighbourhood; widen it (device-side when data is fresh). Column
-    /// blocks have no column halos, so a stencil cannot read its horizontal
-    /// neighbourhood across parts either: fall back to a row-block layout
-    /// with a radius-wide halo (device-side exchange).
-    fn ensure_stencil_layout(&self, input: &Matrix<T>) -> Result<()> {
-        match input.distribution() {
-            MatrixDistribution::RowBlock { halo } if halo < self.radius => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: self.radius })?;
-            }
-            MatrixDistribution::ColBlock => {
-                input.set_distribution(MatrixDistribution::RowBlock { halo: self.radius })?;
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Launch one stencil pass over `segments` of one part's owned rows:
-    /// each `(start, len)` names owned rows `[start, start + len)`, and the
-    /// launch covers their disjoint union in one kernel (the interior /
-    /// boundary split of the overlapped iterate packs the top and bottom
-    /// bands into a single launch this way). The input part's halo rows are
-    /// assumed coherent for the rows the segments read.
-    ///
-    /// `after` is the launch's dependency policy on the main queue:
-    /// [`After::Device`] serializes against the whole device, while
-    /// [`After::Events`] orders the kernel only by the queue, the events,
-    /// and the compute engine. Returns the launch event (`None` when the segments are
-    /// empty). Either way every covered element computes the exact same
-    /// value — the split changes the modeled timeline, never the data.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_part_segments(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        ip: &MatrixPart<T>,
-        op: &MatrixPart<U>,
-        n_rows: usize,
-        cols: usize,
-        segments: &[(usize, usize)],
-        after: After<'_>,
-    ) -> Result<Option<Event>> {
-        let launch_rows: usize = segments.iter().map(|&(_, len)| len).sum();
-        if launch_rows == 0 || cols == 0 {
-            return Ok(None);
-        }
-        let static_ops = self.user.static_ops();
-        let f = self.user.func().clone();
-        let src = ip.buffer.clone();
-        let dst = op.buffer.clone();
-        let radius = self.radius;
-        let boundary = self.boundary;
-        let halo_above = ip.halo_above;
-        let row_offset = ip.row_offset;
-        let span_rows = ip.span_rows();
-        let segs: Arc<Vec<(usize, usize)>> = Arc::new(segments.to_vec());
-        let body: KernelBody = Arc::new(move |wg| {
-            wg.for_each_item(|it| {
-                if !it.in_bounds() {
-                    return;
-                }
-                let col = it.global_id(0);
-                // Map the compact launch row back to its owned row through
-                // the segment list (at most two segments).
-                let mut launch_row = it.global_id(1);
-                let mut local_row = 0;
-                for &(start, len) in segs.iter() {
-                    if launch_row < len {
-                        local_row = start + launch_row;
-                        break;
-                    }
-                    launch_row -= len;
-                }
-                let view = Stencil2DView {
-                    buf: &src,
-                    cols,
-                    n_rows,
-                    span_row: halo_above + local_row,
-                    span_rows,
-                    g_row: row_offset + local_row,
-                    col,
-                    radius,
-                    boundary,
-                    item: it,
-                };
-                let (y, dyn_ops) = meter::metered(|| f(&view));
-                it.write(&dst, (halo_above + local_row) * cols + col, y);
-                it.work(static_ops + dyn_ops);
-            });
-        });
-        let kernel = compiled.with_body(body);
-        let nd = range_2d(ctx, cols, launch_rows);
-        Ok(Some(ctx.queue(ip.device).launch(&kernel, nd, after)?))
-    }
-
-    /// Launch one stencil pass over every part pair: `src[i]` (halo rows
-    /// assumed coherent) is read, the owned rows of `dst[i]` are written.
-    /// Source and destination geometry must mirror each other.
-    fn launch_parts(
-        &self,
-        ctx: &Context,
-        compiled: &CompiledKernel,
-        src_parts: &[MatrixPart<T>],
-        dst_parts: &[MatrixPart<U>],
-        n_rows: usize,
-        cols: usize,
-    ) -> Result<()> {
-        for (ip, op) in src_parts.iter().zip(dst_parts) {
-            self.launch_part_segments(
-                ctx,
-                compiled,
-                ip,
-                op,
-                n_rows,
-                cols,
-                &[(0, ip.rows)],
-                After::Device,
-            )?;
-        }
-        Ok(())
-    }
-
     /// Apply the skeleton. Under `RowBlock` the input's halo is widened to
     /// the stencil radius if needed and stale halo rows are refreshed by
     /// automatic device-to-device exchange; everything stays on the devices
@@ -340,28 +214,12 @@ where
         span.attr("distribution", format!("{:?}", input.distribution()));
         span.attr("devices", ctx.n_devices().to_string());
         span.attr("radius", self.radius.to_string());
-        let compiled = ctx.get_or_build(&self.program)?;
-        self.ensure_stencil_layout(input)?;
-
-        let (n_rows, cols) = input.dims();
-        let in_parts = input.parts_with_fresh_halos()?;
-
-        // Output parts mirror the input geometry. Stencils can only write
-        // their owned rows (halo outputs would need radius-beyond-halo
-        // inputs), so output halos are stale unless there are none.
-        let out_parts = alloc_mirror_parts::<T, U>(&ctx, &in_parts, cols)?;
-        let out_halos_fresh = stale_free(&in_parts);
-
-        self.launch_parts(&ctx, &compiled, &in_parts, &out_parts, n_rows, cols)?;
-
-        Ok(Matrix::from_device_parts(
-            &ctx,
-            n_rows,
-            cols,
-            input.distribution(),
-            out_parts,
-            out_halos_fresh,
-        ))
+        // Build before touching the input; the planner's own lookup of the
+        // same program is then a registry hit.
+        ctx.get_or_build(&self.program)?;
+        Pipeline::start::<T>()
+            .stencil(self.user.clone(), self.radius, self.boundary)
+            .run(input)
     }
 
     /// Like [`Stencil2D::apply`], but when the input still lives on the
@@ -385,7 +243,7 @@ where
         span.attr("radius", self.radius.to_string());
         span.attr("chunk_rows", chunk_rows.to_string());
         let compiled = ctx.get_or_build(&self.program)?;
-        self.ensure_stencil_layout(input)?;
+        ensure_stencil_layout(input, self.radius)?;
 
         let (n_rows, cols) = input.dims();
         let chunk_rows = chunk_rows.max(1);
@@ -393,23 +251,28 @@ where
 
         let out_parts = alloc_mirror_parts::<T, U>(&ctx, &in_parts, cols)?;
         let out_halos_fresh = stale_free(&in_parts);
+        let launcher = StencilLauncher::single(
+            &ctx,
+            compiled,
+            &self.user,
+            self.radius,
+            self.boundary,
+            n_rows,
+            cols,
+        );
 
-        for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
+        for (pi, ((ip, op), chunks)) in in_parts
+            .iter()
+            .zip(&out_parts)
+            .zip(&upload_chunks)
+            .enumerate()
+        {
             if ip.rows == 0 || cols == 0 {
                 continue;
             }
             if chunks.is_empty() {
                 // Already resident: the plain device-serializing launch.
-                self.launch_part_segments(
-                    &ctx,
-                    &compiled,
-                    ip,
-                    op,
-                    n_rows,
-                    cols,
-                    &[(0, ip.rows)],
-                    After::Device,
-                )?;
+                launcher.launch(pi, ip, op, &[(0, ip.rows)], After::Device)?;
                 continue;
             }
             // Launch in chunk-aligned owned-row bands, each depending on
@@ -418,16 +281,7 @@ where
             while start < ip.rows {
                 let len = chunk_rows.min(ip.rows - start);
                 let deps = covering_chunks(chunks, ip, self.radius, self.boundary, start, len);
-                self.launch_part_segments(
-                    &ctx,
-                    &compiled,
-                    ip,
-                    op,
-                    n_rows,
-                    cols,
-                    &[(start, len)],
-                    After::Events(&deps),
-                )?;
+                launcher.launch(pi, ip, op, &[(start, len)], After::Events(&deps))?;
                 start += len;
             }
         }
@@ -462,9 +316,9 @@ where
     ///   the part buffers, without re-synchronising the host in between,
     ///   and (under `Neumann`/`Zero` boundaries) without the wrapped
     ///   matrix-edge rows only `Wrap` ever reads;
-    /// * **one cached kernel across all `n` launches** — the
-    ///   [`codegen::stencil2d_iter_program`] form is built once and rebound
-    ///   to the swapped buffers each round.
+    /// * **one cached kernel across all `n` launches** — the same program
+    ///   [`Stencil2D::apply`] launches is built once and rebound to the
+    ///   swapped buffers each round.
     ///
     /// `iterate(input, 0)` is the identity: it returns a handle to `input`.
     ///
@@ -511,10 +365,19 @@ where
         span.attr("radius", self.radius.to_string());
         span.attr("iterations", n.to_string());
         span.attr("schedule", if overlap { "overlapped" } else { "serial" });
-        let compiled = ctx.get_or_build(&self.iter_program)?;
-        self.ensure_stencil_layout(input)?;
+        let compiled = ctx.get_or_build(&self.program)?;
+        ensure_stencil_layout(input, self.radius)?;
 
         let (n_rows, cols) = input.dims();
+        let launcher = StencilLauncher::single(
+            &ctx,
+            compiled,
+            &self.user,
+            self.radius,
+            self.boundary,
+            n_rows,
+            cols,
+        );
         // Round 1 reads the input matrix's own parts (exchanging its halos
         // if stale — counted like any other exchange event).
         let in_parts = input.parts_with_fresh_halos()?;
@@ -557,7 +420,9 @@ where
                         ctx.note_halo_exchange();
                     }
                 }
-                self.launch_parts(&ctx, &compiled, &src, &dst, n_rows, cols)?;
+                for (pi, (ip, op)) in src.iter().zip(&dst).enumerate() {
+                    launcher.launch(pi, ip, op, &[(0, ip.rows)], After::Device)?;
+                }
             } else {
                 // Exchange round r's halos on the copy stream, ordered only
                 // against round r-1's boundary kernels: the copies run
@@ -593,16 +458,7 @@ where
                     let produced = if exchange_events[idx].is_empty() {
                         // Nothing exchanged into this part this round:
                         // nothing to hide, launch the whole part at once.
-                        self.launch_part_segments(
-                            &ctx,
-                            &compiled,
-                            ip,
-                            op,
-                            n_rows,
-                            cols,
-                            &[(0, ip.rows)],
-                            After::Events(base_deps),
-                        )?
+                        launcher.launch(idx, ip, op, &[(0, ip.rows)], After::Events(base_deps))?
                     } else {
                         // The boundary band must cover both the rows that
                         // read exchanged halos (radius) and the rows the
@@ -616,13 +472,10 @@ where
                         boundary_deps.extend_from_slice(base_deps);
                         if 2 * band >= ip.rows {
                             // No interior: the part is all boundary.
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
+                            launcher.launch(
+                                idx,
                                 ip,
                                 op,
-                                n_rows,
-                                cols,
                                 &[(0, ip.rows)],
                                 After::Events(&boundary_deps),
                             )?
@@ -631,23 +484,17 @@ where
                             // so the in-order queue starts it immediately
                             // while the exchange still runs), then the top
                             // and bottom bands as one dependent launch.
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
+                            launcher.launch(
+                                idx,
                                 ip,
                                 op,
-                                n_rows,
-                                cols,
                                 &[(band, ip.rows - 2 * band)],
                                 After::Events(base_deps),
                             )?;
-                            self.launch_part_segments(
-                                &ctx,
-                                &compiled,
+                            launcher.launch(
+                                idx,
                                 ip,
                                 op,
-                                n_rows,
-                                cols,
                                 &[(0, band), (ip.rows - band, band)],
                                 After::Events(&boundary_deps),
                             )?
@@ -686,6 +533,24 @@ where
             out_halos_fresh,
         ))
     }
+}
+
+/// Lay `input` out for a stencil of `radius`. A RowBlock halo narrower
+/// than the radius cannot supply the neighbourhood; widen it (device-side
+/// when data is fresh). Column blocks have no column halos, so a stencil
+/// cannot read its horizontal neighbourhood across parts either: fall back
+/// to a row-block layout with a radius-wide halo (device-side exchange).
+pub(crate) fn ensure_stencil_layout<T: Element>(input: &Matrix<T>, radius: usize) -> Result<()> {
+    match input.distribution() {
+        MatrixDistribution::RowBlock { halo } if halo < radius => {
+            input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
+        }
+        MatrixDistribution::ColBlock => {
+            input.set_distribution(MatrixDistribution::RowBlock { halo: radius })?;
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 /// Allocate a part set mirroring `parts`' geometry with fresh (element

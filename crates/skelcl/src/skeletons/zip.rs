@@ -9,13 +9,12 @@
 //! that "data exchange between multiple devices is performed automatically".
 
 use crate::arguments::{Arguments, KernelEnv};
-use crate::codegen::{self, UserFn};
+use crate::codegen::{self, FusedStage, UserFn};
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::meter;
-use crate::skeletons::{
-    alloc_matching_matrix_parts, alloc_matching_parts, linear_range, output_vector, range_2d,
-};
+use crate::skeletons::pipeline::{Pipeline, PipelineExpr};
+use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -25,8 +24,6 @@ use vgpu::{After, KernelBody, Program, Scalar as Element};
 pub struct Zip<T1: Element, T2: Element, U: Element, F> {
     user: UserFn<F>,
     program: Program,
-    /// The 2D-NDRange twin used by [`Zip::apply_matrix`].
-    program2d: Program,
     _pd: PhantomData<fn(T1, T2) -> U>,
 }
 
@@ -47,17 +44,9 @@ where
             U::TYPE_NAME,
             0,
         );
-        let program2d = codegen::zip2d_program(
-            user.name(),
-            user.source(),
-            T1::TYPE_NAME,
-            T2::TYPE_NAME,
-            U::TYPE_NAME,
-        );
         Zip {
             user,
             program,
-            program2d,
             _pd: PhantomData,
         }
     }
@@ -125,10 +114,12 @@ where
         ))
     }
 
-    /// Apply the skeleton element-wise over two equally shaped matrices,
-    /// launching one 2D NDRange per device part. As with vectors, `rhs` is
+    /// Apply the skeleton element-wise over two equally shaped matrices:
+    /// the one-stage pipeline `Pipeline::start().zip_with(rhs, f)` run over
+    /// `lhs`, one 2D NDRange per device part. As with vectors, `rhs` is
     /// automatically redistributed to follow `lhs`; halo rows are computed
-    /// locally, so halo coherence is preserved without any exchange.
+    /// locally, so the output's halos are coherent exactly when both
+    /// inputs' are, and no exchange is ever needed.
     pub fn apply_matrix(&self, lhs: &Matrix<T1>, rhs: &Matrix<T2>) -> Result<Matrix<U>> {
         if lhs.dims() != rhs.dims() {
             return Err(Error::ShapeMismatch {
@@ -144,57 +135,19 @@ where
         });
         span.attr("distribution", format!("{:?}", lhs.distribution()));
         span.attr("devices", ctx.n_devices().to_string());
-        let compiled = ctx.get_or_build(&self.program2d)?;
+        // Build before touching the inputs; the planner's own lookup of the
+        // same program is then a registry hit.
+        ctx.get_or_build(&codegen::map2d_program(
+            &[FusedStage::of("zip", &self.user)],
+            T1::TYPE_NAME,
+            U::TYPE_NAME,
+        ))?;
         if rhs.distribution() != lhs.distribution() {
             rhs.set_distribution(lhs.distribution())?;
         }
-        let (rows, cols) = lhs.dims();
-        let l_parts = lhs.parts()?;
-        let r_parts = rhs.parts()?;
-        let halos_fresh = lhs.halos_fresh() && rhs.halos_fresh();
-        let out_parts = alloc_matching_matrix_parts::<T1, U>(&ctx, &l_parts)?;
-
-        let static_ops = self.user.static_ops();
-        for ((lp, rp), op) in l_parts.iter().zip(&r_parts).zip(&out_parts) {
-            debug_assert_eq!(lp.row_offset, rp.row_offset);
-            debug_assert_eq!(lp.col_offset, rp.col_offset);
-            debug_assert_eq!(lp.span_rows(), rp.span_rows());
-            if lp.rows == 0 || lp.cols == 0 {
-                continue;
-            }
-            let f = self.user.func().clone();
-            let a = lp.buffer.clone();
-            let b = rp.buffer.clone();
-            let dst = op.buffer.clone();
-            let stride = lp.cols;
-            let body: KernelBody = Arc::new(move |wg| {
-                wg.for_each_item(|it| {
-                    if !it.in_bounds() {
-                        return;
-                    }
-                    let i = it.global_id(1) * stride + it.global_id(0);
-                    let x = it.read(&a, i);
-                    let y = it.read(&b, i);
-                    let (r, dyn_ops) = meter::metered(|| f(x, y));
-                    it.write(&dst, i, r);
-                    it.work(static_ops + dyn_ops);
-                });
-            });
-            let kernel = compiled.with_body(body);
-            ctx.queue(lp.device).launch(
-                &kernel,
-                range_2d(&ctx, lp.cols, lp.span_rows()),
-                After::Device,
-            )?;
-        }
-        Ok(Matrix::from_device_parts(
-            &ctx,
-            rows,
-            cols,
-            lhs.distribution(),
-            out_parts,
-            halos_fresh,
-        ))
+        Pipeline::start::<T1>()
+            .zip_with(rhs, self.user.clone())
+            .run(lhs)
     }
 }
 

@@ -49,8 +49,8 @@ fn scale_fn() -> UserFn<fn(f32) -> f32> {
 const CROSS_SRC: &str =
     "float lcross(__global float* in, int r, int c, uint nr, uint nc) { /* damped cross */ }";
 
-fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-    UserFn::new("lcross", CROSS_SRC, |v: &PipeView<'_, f32>| {
+fn cross_pipe() -> UserFn<impl for<'v> Fn(&Stencil2DView<'v, f32>) -> f32 + Clone> {
+    UserFn::new("lcross", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
         0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
     })
 }

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use skelcl::{
-    Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, PipeView, Pipeline,
-    PipelineExpr, ReduceRows, Stencil2D, Stencil2DView, UserFn, Zip,
+    Boundary2D, Context, ContextConfig, Map, Matrix, MatrixDistribution, Pipeline, PipelineExpr,
+    ReduceRows, Stencil2D, Stencil2DView, UserFn, Zip,
 };
 use vgpu::DeviceSpec;
 
@@ -90,8 +90,8 @@ fn cross_stencil(
     Stencil2D::new(user, 1, boundary)
 }
 
-fn cross_pipe() -> UserFn<impl for<'v> Fn(&PipeView<'v, f32>) -> f32 + Clone> {
-    UserFn::new("pcross", CROSS_SRC, |v: &PipeView<'_, f32>| {
+fn cross_pipe() -> UserFn<impl for<'v> Fn(&Stencil2DView<'v, f32>) -> f32 + Clone> {
+    UserFn::new("pcross", CROSS_SRC, |v: &Stencil2DView<'_, f32>| {
         0.2 * (v.get(-1, 0) + v.get(1, 0) + v.get(0, -1) + v.get(0, 1)) + 0.1 * v.get(0, 0)
     })
 }
