@@ -1,10 +1,13 @@
 //! Criterion bench regenerating Figure 2's runtime comparison
-//! (virtual seconds; reduced problem size).
+//! (virtual seconds; reduced problem size). Every timed leg records a
+//! ledger entry under the label `run_fig2` prints
+//! (`fig2 osem <variant> x<n>`), priced at its variant's driver efficiency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skelcl_bench::{figure_platform, osem_bench_params, time_virtual};
+use skelcl_bench::{figure_platform, osem_bench_params, time_virtual_reported_with};
 use skelcl_osem::{cuda_impl, opencl_impl, skelcl_impl};
 use std::time::Duration;
+use vgpu::DriverProfile;
 
 fn bench_fig2(c: &mut Criterion) {
     let params = osem_bench_params();
@@ -21,39 +24,34 @@ fn bench_fig2(c: &mut Criterion) {
         opencl_impl::reconstruct(&platform, &vol, &subsets[..1]).unwrap();
         cuda_impl::reconstruct(&platform, &vol, &subsets[..1]).unwrap();
 
-        group.bench_with_input(BenchmarkId::new("skelcl", n_gpus), &n_gpus, |b, _| {
-            b.iter_custom(|iters| {
-                let mut total = 0.0;
-                for _ in 0..iters {
-                    total += time_virtual(&platform, || {
-                        skelcl_impl::reconstruct(&ctx, &vol, &subsets).unwrap();
-                    });
-                }
-                Duration::from_secs_f64(total)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("opencl", n_gpus), &n_gpus, |b, _| {
-            b.iter_custom(|iters| {
-                let mut total = 0.0;
-                for _ in 0..iters {
-                    total += time_virtual(&platform, || {
-                        opencl_impl::reconstruct(&platform, &vol, &subsets).unwrap();
-                    });
-                }
-                Duration::from_secs_f64(total)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cuda", n_gpus), &n_gpus, |b, _| {
-            b.iter_custom(|iters| {
-                let mut total = 0.0;
-                for _ in 0..iters {
-                    total += time_virtual(&platform, || {
-                        cuda_impl::reconstruct(&platform, &vol, &subsets).unwrap();
-                    });
-                }
-                Duration::from_secs_f64(total)
-            })
-        });
+        let variants: [(&str, DriverProfile, &dyn Fn()); 3] = [
+            ("skelcl", DriverProfile::skelcl(), &|| {
+                skelcl_impl::reconstruct(&ctx, &vol, &subsets).unwrap();
+            }),
+            ("opencl", DriverProfile::opencl(), &|| {
+                opencl_impl::reconstruct(&platform, &vol, &subsets).unwrap();
+            }),
+            ("cuda", DriverProfile::cuda(), &|| {
+                cuda_impl::reconstruct(&platform, &vol, &subsets).unwrap();
+            }),
+        ];
+        for (name, profile, run) in variants {
+            let label = format!("fig2 osem {name} x{n_gpus}");
+            group.bench_with_input(BenchmarkId::new(name, n_gpus), &n_gpus, |b, _| {
+                b.iter_custom(|iters| {
+                    let mut total = 0.0;
+                    for _ in 0..iters {
+                        total += time_virtual_reported_with(
+                            &platform,
+                            &label,
+                            profile.compute_efficiency,
+                            run,
+                        );
+                    }
+                    Duration::from_secs_f64(total)
+                })
+            });
+        }
     }
     group.finish();
 
