@@ -42,11 +42,6 @@ impl CudaRuntime {
         }
     }
 
-    /// `cudaGetDeviceCount`.
-    pub fn device_count(&self) -> usize {
-        self.platform.n_devices()
-    }
-
     /// `cudaSetDevice`.
     pub fn set_device(&self, device: usize) -> Result<()> {
         self.platform.try_device(device)?;

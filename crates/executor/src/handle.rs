@@ -88,17 +88,6 @@ impl JobReport {
         (self.ready_s - from).max(0.0)
     }
 
-    /// Time the job sat queued before the dispatcher picked it up
-    /// (`submit` → launch start); 0 for jobs that straddled a clock epoch
-    /// (their submit timestamp belongs to a dead clock).
-    pub fn queue_wait_s(&self) -> f64 {
-        if self.stale_epoch {
-            0.0
-        } else {
-            (self.start_s - self.submit_s).max(0.0)
-        }
-    }
-
     /// Time from launch start to the result's read-back completing.
     pub fn service_s(&self) -> f64 {
         (self.ready_s - self.start_s).max(0.0)

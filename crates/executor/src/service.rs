@@ -69,10 +69,6 @@ pub struct ExecutorConfig {
     pub max_batch: usize,
     /// Queue-drain policy.
     pub scheduling: SchedulingMode,
-    /// Program-registry global capacity (`0` = unbounded).
-    pub program_capacity: usize,
-    /// Program-registry per-tenant quota (`0` = unbounded).
-    pub program_quota: usize,
     /// Start with the dispatcher paused (tests/benches pre-load queues,
     /// then `resume` for a deterministic dispatch schedule).
     pub paused: bool,
@@ -94,8 +90,6 @@ impl Default for ExecutorConfig {
             queue_depth: 64,
             max_batch: 16,
             scheduling: SchedulingMode::WeightedRoundRobin,
-            program_capacity: 0,
-            program_quota: 0,
             paused: false,
             latency_slo_s: None,
         }
@@ -120,12 +114,6 @@ impl ExecutorConfig {
 
     pub fn scheduling(mut self, mode: SchedulingMode) -> Self {
         self.scheduling = mode;
-        self
-    }
-
-    pub fn program_limits(mut self, capacity: usize, per_tenant_quota: usize) -> Self {
-        self.program_capacity = capacity;
-        self.program_quota = per_tenant_quota;
         self
     }
 
@@ -280,22 +268,8 @@ impl Executor {
     /// Wrap an existing platform (benches share one platform between the
     /// executor and hand-rolled baselines).
     pub fn from_platform(platform: Platform, cfg: ExecutorConfig) -> Executor {
-        let programs = if cfg.program_capacity > 0 || cfg.program_quota > 0 {
-            let cap = if cfg.program_capacity == 0 {
-                usize::MAX
-            } else {
-                cfg.program_capacity
-            };
-            let quota = if cfg.program_quota == 0 {
-                usize::MAX
-            } else {
-                cfg.program_quota
-            };
-            ProgramRegistry::with_limits(cap, quota)
-        } else {
-            ProgramRegistry::unbounded()
-        };
-        let root = Context::from_platform_shared(platform, cfg.work_group, Arc::new(programs));
+        let programs = Arc::new(ProgramRegistry::unbounded());
+        let root = Context::from_platform_shared(platform, cfg.work_group, programs);
         let metrics = ServiceMetrics::new(root.metrics());
         let shared = Arc::new(Shared {
             root,
@@ -435,11 +409,6 @@ impl Executor {
     /// service-wide `executor.*` counters and the latency histogram).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.shared.root.metrics()
-    }
-
-    /// Service-wide latency histogram handle.
-    pub fn latency_histogram(&self) -> Histogram {
-        self.shared.metrics.latency.clone()
     }
 
     /// Current queue depth for a tenant (0 for unknown ids).

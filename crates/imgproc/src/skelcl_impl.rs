@@ -214,13 +214,6 @@ pub fn canny(img: &Matrix<f32>, boundary: Boundary2D, lo: f32, hi: f32) -> Resul
     Ok(hysteresis(&labels, rows, cols))
 }
 
-/// The full canny edge detector over the unfused skeleton chain.
-pub fn canny_unfused(img: &Matrix<f32>, boundary: Boundary2D, lo: f32, hi: f32) -> Result<Vec<u8>> {
-    let (rows, cols) = img.dims();
-    let labels = canny_labels_unfused(img, boundary, lo, hi)?.to_vec()?;
-    Ok(hysteresis(&labels, rows, cols))
-}
-
 /// Per-row total gradient energy: the Gaussian → Sobel pipeline composed
 /// with a device-side [`ReduceRows`] sum, so the `rows×cols` magnitude
 /// image is reduced to a length-`rows` vector without ever visiting the

@@ -227,11 +227,6 @@ impl WorkGroup {
         self.nd.local[dim]
     }
 
-    /// Global extent in dimension `dim`.
-    pub fn global_size(&self, dim: usize) -> usize {
-        self.nd.global[dim]
-    }
-
     /// Number of work-groups in dimension `dim`.
     pub fn num_groups(&self, dim: usize) -> usize {
         self.nd.groups()[dim]
