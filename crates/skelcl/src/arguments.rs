@@ -63,7 +63,7 @@ impl<T: Scalar> AnyVectorArg for Vector<T> {
                 self.distribution()
             ))
         })?;
-        Ok((Box::new(part.buffer.clone()), part.len))
+        Ok((Box::new(part.buffer.clone()), part.rows))
     }
 
     fn global_len(&self) -> usize {

@@ -5,7 +5,9 @@
 //! [`vgpu`] virtual OpenCL-like platform:
 //!
 //! * [`Vector`] — the abstract vector spanning host and device memory with
-//!   **lazy, implicit transfers** (Section III-A),
+//!   **lazy, implicit transfers** (Section III-A); a vector of `len`
+//!   elements is a `len × 1` [`Matrix`], so both containers share one
+//!   transfer, layout and redistribution path,
 //! * the four basic skeletons [`Map`], [`Zip`], [`Reduce`], [`Scan`]
 //!   (Section III-B), customized by [`UserFn`]s created with [`skel_fn!`],
 //! * [`Arguments`] — passing additional scalars and vectors to the

@@ -1,15 +1,21 @@
 //! The abstract matrix: a 2D host/device container with lazy transfers and
 //! row-block multi-device distribution with halo rows.
 //!
-//! This is the 2D generalisation of [`crate::Vector`] that SkelCL shipped
+//! This is the 2D generalisation of the paper's vector that SkelCL shipped
 //! after the paper (the `Matrix<T>` container behind the Gaussian / Sobel /
-//! Canny benchmark suite). Data is row-major. The multi-GPU story follows
-//! Section III-D of the paper, extended with the *overlap* idea of SkelCL's
-//! stencil work: under [`MatrixDistribution::RowBlock`] each device owns a
-//! contiguous block of rows **plus `halo` read-only rows above and below
-//! it**, and the library keeps those halo rows coherent by automatic
-//! device-to-device exchange — the transfers show up in the platform's
-//! [`vgpu::StatsSnapshot`] accounting like every other copy.
+//! Canny benchmark suite), and the one container the library implements: a
+//! [`crate::Vector`] of `len` elements is a `len × 1` matrix whose
+//! `Single`/`Copy`/`Block` distributions are `Single`/`Copy`/
+//! `RowBlock { halo: 0 }` here, so this module holds the only lazy-transfer,
+//! layout, upload, download and redistribution code. Data is row-major.
+//!
+//! The multi-GPU story follows Section III-D of the paper, extended with the
+//! *overlap* idea of SkelCL's stencil work: under
+//! [`MatrixDistribution::RowBlock`] each device owns a contiguous block of
+//! rows **plus `halo` read-only rows above and below it**, and the library
+//! keeps those halo rows coherent by automatic device-to-device exchange —
+//! the transfers show up in the platform's [`vgpu::StatsSnapshot`]
+//! accounting like every other copy.
 //!
 //! Halo rows wrap around the matrix edges (row `-1` is the last row), which
 //! makes every part's halo well-defined regardless of position and lets the
@@ -24,11 +30,13 @@
 //! Column blocks feed the [`crate::AllPairs`] skeleton's `B` operand
 //! (matrix multiplication, pairwise distances).
 
+use crate::codegen::{self, UserFn};
 use crate::context::Context;
 use crate::error::{Error, Result};
+use crate::meter;
 use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
 use std::sync::Arc;
-use vgpu::{After, Buffer, Event, Region, Scalar};
+use vgpu::{After, Buffer, Event, KernelBody, NDRange, Region, Scalar};
 
 /// How a matrix's rows are laid out across the context's devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +88,21 @@ pub(crate) struct MatrixPart<T: Scalar> {
 }
 
 impl<T: Scalar> MatrixPart<T> {
+    /// A halo-free one-column part owning rows `[row_offset, row_offset +
+    /// rows)`: the shape of every vector part.
+    pub fn column(device: usize, row_offset: usize, rows: usize, buffer: Buffer<T>) -> Self {
+        MatrixPart {
+            device,
+            row_offset,
+            rows,
+            halo_above: 0,
+            halo_below: 0,
+            col_offset: 0,
+            cols: 1,
+            buffer,
+        }
+    }
+
     /// Total rows stored in the buffer (owned + halos).
     pub fn span_rows(&self) -> usize {
         self.halo_above + self.rows + self.halo_below
@@ -178,30 +201,35 @@ fn default_distribution(ctx: &Context) -> MatrixDistribution {
     }
 }
 
-/// Geometry of one part under a distribution (everything but the buffer).
-#[derive(Debug, Clone, Copy)]
-struct PartGeom {
-    device: usize,
-    row_offset: usize,
-    rows: usize,
-    halo_above: usize,
-    halo_below: usize,
-    col_offset: usize,
-    cols: usize,
+/// Contiguous near-equal block ranges `(offset, len)` of `len` over `n`
+/// devices.
+pub(crate) fn block_ranges(len: usize, n: usize) -> Vec<(usize, usize)> {
+    let n = n.max(1);
+    let base = len / n;
+    let extra = len % n;
+    let mut out = Vec::with_capacity(n);
+    let mut off = 0;
+    for d in 0..n {
+        let l = base + usize::from(d < extra);
+        out.push((off, l));
+        off += l;
+    }
+    out
 }
 
-/// Layout of `dist` for a `rows × cols` matrix on `n_devices` devices.
-fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) -> Vec<PartGeom> {
-    let full_width = |device, row_offset, rows, halo| PartGeom {
-        device,
-        row_offset,
-        rows,
-        halo_above: halo,
-        halo_below: halo,
-        col_offset: 0,
-        cols,
-    };
-    match dist {
+/// Allocate the parts of `dist` for a `rows × cols` matrix on the
+/// context's devices (buffers zeroed; nothing is transferred).
+fn alloc_layout<T: Scalar>(
+    ctx: &Context,
+    dist: MatrixDistribution,
+    rows: usize,
+    cols: usize,
+) -> Result<Vec<MatrixPart<T>>> {
+    let n_devices = ctx.n_devices();
+    // Part geometry: (device, row_offset, rows, halo rows above and below,
+    // col_offset, cols).
+    let full_width = |device, row_offset, rows, halo| (device, row_offset, rows, halo, 0, cols);
+    let geoms: Vec<_> = match dist {
         MatrixDistribution::Single(d) => vec![full_width(d, 0, rows, 0)],
         MatrixDistribution::Copy => (0..n_devices).map(|d| full_width(d, 0, rows, 0)).collect(),
         MatrixDistribution::RowBlock { halo } => {
@@ -213,26 +241,33 @@ fn layout(dist: MatrixDistribution, rows: usize, cols: usize, n_devices: usize) 
             // beyond-span deltas modulo the height against exactly that
             // invariant (regression: `tests/degenerate_shapes.rs`).
             let halo = halo.min(rows);
-            crate::vector::block_ranges(rows, n_devices)
+            block_ranges(rows, n_devices)
                 .into_iter()
                 .enumerate()
                 .map(|(d, (off, len))| full_width(d, off, len, if len == 0 { 0 } else { halo }))
                 .collect()
         }
-        MatrixDistribution::ColBlock => crate::vector::block_ranges(cols, n_devices)
+        MatrixDistribution::ColBlock => block_ranges(cols, n_devices)
             .into_iter()
             .enumerate()
-            .map(|(d, (off, len))| PartGeom {
-                device: d,
-                row_offset: 0,
-                rows: if len == 0 { 0 } else { rows },
-                halo_above: 0,
-                halo_below: 0,
-                col_offset: off,
-                cols: len,
-            })
+            .map(|(d, (off, len))| (d, 0, if len == 0 { 0 } else { rows }, 0, off, len))
             .collect(),
-    }
+    };
+    geoms
+        .into_iter()
+        .map(|(device, row_offset, rows, halo, col_offset, cols)| {
+            Ok(MatrixPart {
+                device,
+                row_offset,
+                rows,
+                halo_above: halo,
+                halo_below: halo,
+                col_offset,
+                cols,
+                buffer: ctx.device(device).alloc::<T>((2 * halo + rows) * cols)?,
+            })
+        })
+        .collect()
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -463,7 +498,8 @@ impl<T: Scalar> Matrix<T> {
 
     /// Declare that a kernel modified this matrix on the devices by side
     /// effect (the paper's `dataOnDevicesModified()`). Halo rows become
-    /// stale until the next exchange.
+    /// stale until the next exchange; a layout without halo rows (every
+    /// vector's) has none to go stale.
     pub fn mark_devices_modified(&self) {
         let mut st = self.state.lock();
         assert!(
@@ -472,7 +508,7 @@ impl<T: Scalar> Matrix<T> {
         );
         st.device_fresh = true;
         st.host_fresh = false;
-        st.halos_fresh = false;
+        st.halos_fresh = st.parts.iter().all(|p| p.halo_above + p.halo_below == 0);
         // The kernel's writes supersede any still-recorded upload events.
         st.upload_chunks.clear();
     }
@@ -481,7 +517,7 @@ impl<T: Scalar> Matrix<T> {
     /// copies are stale. Skeletons call this implicitly.
     pub fn ensure_on_devices(&self) -> Result<()> {
         let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)
+        upload(&self.ctx, &mut st, None)
     }
 
     /// Upload to the devices like [`Matrix::ensure_on_devices`], but
@@ -493,7 +529,7 @@ impl<T: Scalar> Matrix<T> {
     /// data either way.
     pub fn ensure_on_devices_streamed(&self, chunk_rows: usize) -> Result<()> {
         let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)
+        upload(&self.ctx, &mut st, Some(chunk_rows))
     }
 
     /// Refresh every part's halo rows from the rows' owning parts via
@@ -511,6 +547,21 @@ impl<T: Scalar> Matrix<T> {
     /// — happens automatically; otherwise only metadata changes and the
     /// next upload uses the new layout.
     pub fn set_distribution(&self, dist: MatrixDistribution) -> Result<()> {
+        self.set_distribution_with(dist, None::<&UserFn<fn(T, T) -> T>>)
+    }
+
+    /// [`Matrix::set_distribution`], merging diverged per-device copies
+    /// with `combine` when leaving `Copy` with fresh device data (the
+    /// vector's `setDistribution(block, add)`); in every other state the
+    /// operator is unused.
+    pub(crate) fn set_distribution_with<F>(
+        &self,
+        dist: MatrixDistribution,
+        combine: Option<&UserFn<F>>,
+    ) -> Result<()>
+    where
+        F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
+    {
         if let MatrixDistribution::Single(d) = dist {
             if d >= self.ctx.n_devices() {
                 return Err(Error::BadDistribution(format!(
@@ -529,7 +580,8 @@ impl<T: Scalar> Matrix<T> {
             st.upload_chunks.clear();
             return Ok(());
         }
-        redistribute(&self.ctx, &mut st, dist)
+        let combine = combine.filter(|_| st.dist == MatrixDistribution::Copy);
+        redistribute(&self.ctx, &mut st, dist, combine)
     }
 
     /// The device-resident parts (uploading first if needed). Halo coherence
@@ -537,14 +589,14 @@ impl<T: Scalar> Matrix<T> {
     /// [`Matrix::halo_exchange`] first (Stencil2D does this automatically).
     pub(crate) fn parts(&self) -> Result<Vec<MatrixPart<T>>> {
         let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)?;
+        upload(&self.ctx, &mut st, None)?;
         Ok(st.parts.clone())
     }
 
     /// Like [`Matrix::parts`], but also guarantees halo coherence.
     pub(crate) fn parts_with_fresh_halos(&self) -> Result<Vec<MatrixPart<T>>> {
         let mut st = self.state.lock();
-        ensure_on_devices(&self.ctx, &mut st)?;
+        upload(&self.ctx, &mut st, None)?;
         halo_exchange(&self.ctx, &mut st)?;
         Ok(st.parts.clone())
     }
@@ -556,7 +608,7 @@ impl<T: Scalar> Matrix<T> {
     /// kernels; consumers then need no upload dependencies.
     pub(crate) fn parts_with_upload_chunks(&self, chunk_rows: usize) -> Result<PartsWithChunks<T>> {
         let mut st = self.state.lock();
-        ensure_on_devices_streamed(&self.ctx, &mut st, chunk_rows)?;
+        upload(&self.ctx, &mut st, Some(chunk_rows))?;
         halo_exchange(&self.ctx, &mut st)?;
         let live = st.upload_chunks.len() == st.parts.len()
             && st.upload_epoch == self.ctx.platform().clock_epoch();
@@ -620,7 +672,17 @@ fn span_runs<T: Scalar>(p: &MatrixPart<T>, n_rows: usize) -> Vec<(usize, usize, 
 /// Full-width parts upload in contiguous multi-row runs; column-block parts
 /// need one strided write per row (each row's column slice is contiguous on
 /// the host but the rows are not adjacent).
-fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
+///
+/// With `chunk_rows`, full-width parts are **streamed**: each span run goes
+/// out in row chunks of (at most) `chunk_rows` as asynchronous writes on
+/// the device's *copy stream*, and the chunks' events are recorded in
+/// `st.upload_chunks` so the first dependent kernel can start once its rows
+/// have landed — while later chunks are still crossing PCIe. Results are
+/// bit-identical to the blocking upload (same bytes, same destination);
+/// only the modeled timeline differs. Column-block parts always upload
+/// blocking (their per-row strided writes are already minimal and no
+/// consumer chunks by rows).
+fn upload<T: Scalar>(ctx: &Context, st: &mut State<T>, chunk_rows: Option<usize>) -> Result<()> {
     if st.device_fresh {
         return Ok(());
     }
@@ -628,35 +690,25 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
         st.host_fresh,
         "matrix has neither fresh host nor fresh device data"
     );
+    let chunk_rows = chunk_rows
+        .filter(|_| st.dist.is_full_width())
+        .map(|c| c.max(1));
     let cols = st.cols;
-    let lay = layout(st.dist, st.rows, cols, ctx.n_devices());
-    let concurrent = lay.iter().filter(|g| g.rows > 0).count().max(1);
-    let mut parts = Vec::with_capacity(lay.len());
-    for geom in lay {
-        let part = MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        };
+    let mut span = ctx.span("upload");
+    span.attr("shape", format!("{}x{cols}", st.rows));
+    span.attr("len", st.host.len().to_string());
+    span.attr("distribution", format!("{:?}", st.dist));
+    if let Some(chunk_rows) = chunk_rows {
+        span.attr("chunk_len", chunk_rows.to_string());
+    }
+    span.attr("devices", ctx.n_devices().to_string());
+    let parts = alloc_layout::<T>(ctx, st.dist, st.rows, cols)?;
+    let concurrent = parts.iter().filter(|p| p.rows > 0).count().max(1);
+    let mut upload_chunks = Vec::with_capacity(parts.len());
+    for part in &parts {
+        let mut chunks = Vec::new();
         if part.rows > 0 && part.cols > 0 {
-            if part.cols == cols {
-                for (s, g, len) in span_runs(&part, st.rows) {
-                    ctx.queue(part.device).enqueue_write(
-                        &part.buffer,
-                        Region::At(s * cols),
-                        &st.host[g * cols..(g + len) * cols],
-                        concurrent,
-                        After::Device,
-                    )?;
-                }
-            } else {
+            if part.cols != cols {
                 let c0 = part.col_offset;
                 let c1 = c0 + part.cols;
                 for s in 0..part.span_rows() {
@@ -669,88 +721,42 @@ fn ensure_on_devices<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> 
                         After::Device,
                     )?;
                 }
-            }
-        }
-        parts.push(part);
-    }
-    st.parts = parts;
-    st.upload_chunks.clear();
-    st.device_fresh = true;
-    st.halos_fresh = true;
-    Ok(())
-}
-
-/// Upload `st.host` like [`ensure_on_devices`], but **streamed**: each
-/// full-width part's span goes out in row chunks of (at most) `chunk_rows`
-/// as asynchronous writes on the device's *copy stream*, and the chunks'
-/// events are recorded in `st.upload_chunks` so the first dependent kernel
-/// can start once its rows have landed — while later chunks are still
-/// crossing PCIe. Results are bit-identical to the blocking upload (same
-/// bytes, same destination); only the modeled timeline differs.
-///
-/// Column-block layouts fall back to the blocking upload (their per-row
-/// strided writes are already minimal and no consumer chunks by rows).
-fn ensure_on_devices_streamed<T: Scalar>(
-    ctx: &Context,
-    st: &mut State<T>,
-    chunk_rows: usize,
-) -> Result<()> {
-    if st.device_fresh {
-        return Ok(());
-    }
-    if !st.dist.is_full_width() {
-        return ensure_on_devices(ctx, st);
-    }
-    assert!(
-        st.host_fresh,
-        "matrix has neither fresh host nor fresh device data"
-    );
-    let chunk_rows = chunk_rows.max(1);
-    let cols = st.cols;
-    let lay = layout(st.dist, st.rows, cols, ctx.n_devices());
-    let concurrent = lay.iter().filter(|g| g.rows > 0).count().max(1);
-    let mut parts = Vec::with_capacity(lay.len());
-    let mut upload_chunks = Vec::with_capacity(lay.len());
-    for geom in lay {
-        let part = MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        };
-        let mut chunks = Vec::new();
-        if part.rows > 0 && cols > 0 {
-            let queue = ctx.copy_queue(part.device);
-            for (s, g, len) in span_runs(&part, st.rows) {
-                // Split each contiguous run into chunk_rows-row writes; the
-                // copy stream keeps them in order, so chunk k's event also
-                // covers every chunk before it.
-                let mut done = 0;
-                while done < len {
-                    let n = chunk_rows.min(len - done);
-                    let event = queue.enqueue_write(
+            } else if let Some(chunk_rows) = chunk_rows {
+                let queue = ctx.copy_queue(part.device);
+                for (s, g, len) in span_runs(part, st.rows) {
+                    // Split each contiguous run into chunk_rows-row writes; the
+                    // copy stream keeps them in order, so chunk k's event also
+                    // covers every chunk before it.
+                    let mut done = 0;
+                    while done < len {
+                        let n = chunk_rows.min(len - done);
+                        let event = queue.enqueue_write(
+                            &part.buffer,
+                            Region::At((s + done) * cols),
+                            &st.host[(g + done) * cols..(g + done + n) * cols],
+                            concurrent,
+                            After::Events(&[]),
+                        )?;
+                        chunks.push(UploadChunk {
+                            span_start: s + done,
+                            span_len: n,
+                            event,
+                        });
+                        done += n;
+                    }
+                }
+            } else {
+                for (s, g, len) in span_runs(part, st.rows) {
+                    ctx.queue(part.device).enqueue_write(
                         &part.buffer,
-                        Region::At((s + done) * cols),
-                        &st.host[(g + done) * cols..(g + done + n) * cols],
+                        Region::At(s * cols),
+                        &st.host[g * cols..(g + len) * cols],
                         concurrent,
-                        After::Events(&[]),
+                        After::Device,
                     )?;
-                    chunks.push(UploadChunk {
-                        span_start: s + done,
-                        span_len: n,
-                        event,
-                    });
-                    done += n;
                 }
             }
         }
-        parts.push(part);
         upload_chunks.push(chunks);
     }
     st.parts = parts;
@@ -1088,36 +1094,26 @@ fn halo_runs<T: Scalar>(
 
 /// Move device-fresh data from `st.dist`/`st.parts` into `new_dist`,
 /// filling the new layout's owned regions *and* halo rows from the old
-/// owners.
-fn redistribute<T: Scalar>(
+/// owners — or, with `combine`, merging the diverged `Copy` parts into it.
+fn redistribute<T: Scalar, F>(
     ctx: &Context,
     st: &mut State<T>,
     new_dist: MatrixDistribution,
-) -> Result<()> {
+    combine: Option<&UserFn<F>>,
+) -> Result<()>
+where
+    F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
+{
     let cols = st.cols;
     let n_rows = st.rows;
-    let n = ctx.n_devices();
-    let new_lay = layout(new_dist, n_rows, cols, n);
+    let new_parts = alloc_layout::<T>(ctx, new_dist, n_rows, cols)?;
 
-    let mut new_parts = Vec::with_capacity(new_lay.len());
-    for geom in new_lay {
-        new_parts.push(MatrixPart {
-            device: geom.device,
-            row_offset: geom.row_offset,
-            rows: geom.rows,
-            halo_above: geom.halo_above,
-            halo_below: geom.halo_below,
-            col_offset: geom.col_offset,
-            cols: geom.cols,
-            buffer: ctx
-                .device(geom.device)
-                .alloc::<T>((geom.halo_above + geom.rows + geom.halo_below) * geom.cols)?,
-        });
-    }
-
-    if cols > 0 {
-        // Estimate bus contention: count cross-device row runs first.
-        let concurrent = n.max(1);
+    if let Some(combine) = combine {
+        merge_copy_to(ctx, st, &new_parts, combine)?;
+    } else if cols > 0 {
+        // Transfers chain per destination device, so at most ~one per
+        // device is in flight at any instant.
+        let concurrent = ctx.n_devices().max(1);
         let row_based = st.dist.is_full_width() && new_dist.is_full_width();
         for np in &new_parts {
             if np.rows == 0 || np.cols == 0 {
@@ -1147,6 +1143,83 @@ fn redistribute<T: Scalar>(
     Ok(())
 }
 
+/// Copy→(target) with element-wise combining of the diverged per-device
+/// copies (the OSEM error-image merge). Only halo-free full-width targets
+/// (a vector's `Single`/`Block`) are ever merged into.
+fn merge_copy_to<T: Scalar, F>(
+    ctx: &Context,
+    st: &State<T>,
+    new_parts: &[MatrixPart<T>],
+    combine: &UserFn<F>,
+) -> Result<()>
+where
+    F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
+{
+    // Each destination folds its sources sequentially; ~n_devices
+    // transfers are in flight at once.
+    let n = ctx.n_devices();
+    let cross = n.max(1);
+
+    let program = codegen::zip_program(
+        combine.name(),
+        combine.source(),
+        T::TYPE_NAME,
+        T::TYPE_NAME,
+        T::TYPE_NAME,
+        0,
+    );
+    let compiled = ctx.get_or_build(&program)?;
+    let static_ops = combine.static_ops();
+
+    for np in new_parts {
+        debug_assert!(np.halo_above + np.halo_below == 0 && np.cols == st.cols);
+        let (offset, len) = (np.row_offset * st.cols, np.rows * st.cols);
+        if len == 0 {
+            continue;
+        }
+        // Seed with the destination device's own copy (device-local).
+        let own = st
+            .parts
+            .iter()
+            .find(|p| p.device == np.device)
+            .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
+        ctx.platform()
+            .copy(&own.buffer, offset, &np.buffer, 0, len, 1, After::Device)?;
+
+        // Fold in every other device's copy of this range.
+        for op in st.parts.iter().filter(|p| p.device != np.device) {
+            let tmp = ctx.device(np.device).alloc::<T>(len)?;
+            ctx.platform()
+                .copy(&op.buffer, offset, &tmp, 0, len, cross, After::Device)?;
+
+            let f = combine.func().clone();
+            let dst = np.buffer.clone();
+            let src = tmp.clone();
+            let body: KernelBody = Arc::new(move |wg| {
+                wg.for_each_item(|it| {
+                    if !it.in_bounds() {
+                        return;
+                    }
+                    let i = it.global_id(0);
+                    let a = it.read(&dst, i);
+                    let b = it.read(&src, i);
+                    let (r, dyn_ops) = meter::metered(|| f(a, b));
+                    it.write(&dst, i, r);
+                    it.work(static_ops + dyn_ops);
+                });
+            });
+            let kernel = compiled.with_body(body);
+            ctx.queue(np.device).launch(
+                &kernel,
+                NDRange::linear(len, ctx.work_group().min(len)),
+                After::Device,
+            )?;
+        }
+    }
+    ctx.sync();
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,6 +1237,20 @@ mod tests {
 
     fn data(rows: usize, cols: usize) -> Vec<f32> {
         (0..rows * cols).map(|i| i as f32).collect()
+    }
+
+    #[test]
+    fn block_ranges_cover_exactly() {
+        for (len, n) in [(10, 3), (0, 4), (7, 8), (100, 4)] {
+            let r = block_ranges(len, n);
+            assert_eq!(r.len(), n);
+            let mut off = 0;
+            for (o, l) in r {
+                assert_eq!(o, off);
+                off += l;
+            }
+            assert_eq!(off, len);
+        }
     }
 
     #[test]

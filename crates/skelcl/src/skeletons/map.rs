@@ -12,10 +12,10 @@
 use crate::arguments::{Arguments, KernelEnv};
 use crate::codegen::{self, FusedStage, UserFn};
 use crate::error::Result;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixPart};
 use crate::meter;
 use crate::skeletons::pipeline::{Pipeline, PipelineExpr};
-use crate::skeletons::{alloc_matching_parts, linear_range, output_vector};
+use crate::skeletons::{alloc_matching_matrix_parts, linear_range};
 use crate::vector::Vector;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ where
         &self,
         ctx: &crate::context::Context,
         compiled: &vgpu::CompiledKernel,
-        ip: &crate::vector::DevicePart<T>,
-        op: &crate::vector::DevicePart<U>,
+        ip: &MatrixPart<T>,
+        op: &MatrixPart<U>,
         start: usize,
         len: usize,
         after: After<'_>,
@@ -103,11 +103,11 @@ where
         span.attr("devices", ctx.n_devices().to_string());
         let compiled = ctx.get_or_build(&self.program)?;
         let in_parts = input.parts()?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, After::Device)?;
+            self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, After::Device)?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -132,11 +132,11 @@ where
         span.attr("chunk_len", chunk_len.to_string());
         let compiled = ctx.get_or_build(&self.program)?;
         let (in_parts, upload_chunks) = input.parts_with_upload_chunks(chunk_len.max(1))?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
         for ((ip, op), chunks) in in_parts.iter().zip(&out_parts).zip(&upload_chunks) {
             if chunks.is_empty() {
                 // Already resident, no chunk events: apply's exact launch.
-                self.launch_range(&ctx, &compiled, ip, op, 0, ip.len, After::Device)?;
+                self.launch_range(&ctx, &compiled, ip, op, 0, ip.rows, After::Device)?;
             } else {
                 for c in chunks {
                     self.launch_range(
@@ -144,14 +144,14 @@ where
                         &compiled,
                         ip,
                         op,
-                        c.start,
-                        c.len,
+                        c.span_start,
+                        c.span_len,
                         After::Events(std::slice::from_ref(&c.event)),
                     )?;
                 }
             }
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -229,11 +229,11 @@ where
         let compiled = ctx.get_or_build(&self.program())?;
         args.ensure_on_devices()?;
         let in_parts = input.parts()?;
-        let out_parts = alloc_matching_parts::<T, U>(&ctx, &in_parts)?;
+        let out_parts = alloc_matching_matrix_parts::<T, U>(&ctx, &in_parts)?;
 
         let static_ops = self.user.static_ops();
         for (ip, op) in in_parts.iter().zip(&out_parts) {
-            if ip.len == 0 {
+            if ip.rows == 0 {
                 continue;
             }
             let resolved = Arc::new(args.resolve(ip.device)?);
@@ -258,9 +258,9 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len), After::Device)?;
+                .launch(&kernel, linear_range(&ctx, ip.rows), After::Device)?;
         }
-        Ok(output_vector(
+        Ok(Vector::from_device_parts(
             &ctx,
             input.len(),
             input.distribution(),
@@ -316,7 +316,7 @@ where
 
         let static_ops = self.user.static_ops();
         for ip in &in_parts {
-            if ip.len == 0 {
+            if ip.rows == 0 {
                 continue;
             }
             let resolved = Arc::new(args.resolve(ip.device)?);
@@ -339,7 +339,7 @@ where
             });
             let kernel = compiled.with_body(body);
             ctx.queue(ip.device)
-                .launch(&kernel, linear_range(&ctx, ip.len), After::Device)?;
+                .launch(&kernel, linear_range(&ctx, ip.rows), After::Device)?;
         }
         Ok(())
     }

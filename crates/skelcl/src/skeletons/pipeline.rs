@@ -50,7 +50,7 @@ use crate::skeletons::stencil2d::{
     alloc_mirror_parts, ensure_stencil_layout, stale_free, Boundary2D, Stencil2DView,
 };
 use crate::skeletons::{alloc_matching_matrix_parts, linear_range, range_2d};
-use crate::vector::{DevicePart, Distribution, Vector};
+use crate::vector::{Distribution, Vector};
 use vgpu::{After, CompiledKernel, Event, Item, KernelBody, Scalar as Element};
 
 /// The `+`-joined stage names of a fused group (span attribute and part of
@@ -825,12 +825,12 @@ where
                     After::Device,
                 )?;
             }
-            out_parts.push(DevicePart {
-                device: p.device,
-                offset: p.row_offset,
-                len: fold_rows,
+            out_parts.push(MatrixPart::column(
+                p.device,
+                p.row_offset,
+                fold_rows,
                 buffer,
-            });
+            ));
         }
         ctx.metrics().counter("skelcl.pipeline.groups").inc();
         ctx.metrics()

@@ -90,7 +90,7 @@ where
         // on one device is sufficient (and what SkelCL does).
         let active: Vec<_> = match input.distribution() {
             crate::vector::Distribution::Copy => parts.into_iter().take(1).collect(),
-            _ => parts.into_iter().filter(|p| p.len > 0).collect(),
+            _ => parts.into_iter().filter(|p| p.rows > 0).collect(),
         };
 
         let mut device_results = Vec::with_capacity(active.len());
@@ -101,14 +101,14 @@ where
                     part.device,
                     &compiled,
                     part.buffer.clone(),
-                    part.len,
+                    part.rows,
                 )?,
                 ReduceStrategy::GlobalNaive => self.reduce_on_device_naive(
                     &ctx,
                     part.device,
                     &compiled,
                     part.buffer.clone(),
-                    part.len,
+                    part.rows,
                 )?,
             };
             device_results.push((part.device, value_buf));

@@ -51,7 +51,7 @@ use crate::error::{Error, Result};
 use crate::matrix::{Matrix, MatrixDistribution, MatrixPart};
 use crate::meter;
 use crate::skeletons::linear_range;
-use crate::vector::{DevicePart, Distribution, Vector};
+use crate::vector::{Distribution, Vector};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use vgpu::{After, Buffer, CompiledKernel, KernelBody, Program, Scalar as Element};
@@ -216,6 +216,18 @@ where
     }
 }
 
+/// Wrap one device buffer holding the whole output as a `Single(device)`
+/// vector (no host round trip; the host copy is stale until first read).
+fn single_device_vector<T: Element>(
+    ctx: &Context,
+    device: usize,
+    len: usize,
+    buffer: Buffer<T>,
+) -> Vector<T> {
+    let part = MatrixPart::column(device, 0, len, buffer);
+    Vector::from_device_parts(ctx, len, Distribution::Single(device), vec![part])
+}
+
 /// Wrap a dispatched value reduction as the output vector.
 fn reduced_to_vector<T: Element>(
     ctx: &Context,
@@ -223,20 +235,15 @@ fn reduced_to_vector<T: Element>(
     reduced: Reduced<Buffer<T>>,
 ) -> Vector<T> {
     match reduced {
-        Reduced::Single(device, buffer) => {
-            Vector::from_single_device_part(ctx, device, out_len, buffer)
-        }
+        Reduced::Single(device, buffer) => single_device_vector(ctx, device, out_len, buffer),
         Reduced::Concat(items) => Vector::from_device_parts(
             ctx,
             out_len,
             Distribution::Block,
             items
                 .into_iter()
-                .map(|(device, offset, len, buffer)| DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer,
+                .map(|(device, offset, len, buffer)| {
+                    MatrixPart::column(device, offset, len, buffer)
                 })
                 .collect(),
         ),
@@ -251,25 +258,15 @@ fn reduced_to_arg_vectors<T: Element>(
 ) -> (Vector<T>, Vector<u32>) {
     match reduced {
         Reduced::Single(device, (val, idx)) => (
-            Vector::from_single_device_part(ctx, device, out_len, val),
-            Vector::from_single_device_part(ctx, device, out_len, idx),
+            single_device_vector(ctx, device, out_len, val),
+            single_device_vector(ctx, device, out_len, idx),
         ),
         Reduced::Concat(items) => {
             let mut val_parts = Vec::with_capacity(items.len());
             let mut idx_parts = Vec::with_capacity(items.len());
             for (device, offset, len, (val, idx)) in items {
-                val_parts.push(DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer: val,
-                });
-                idx_parts.push(DevicePart {
-                    device,
-                    offset,
-                    len,
-                    buffer: idx,
-                });
+                val_parts.push(MatrixPart::column(device, offset, len, val));
+                idx_parts.push(MatrixPart::column(device, offset, len, idx));
             }
             (
                 Vector::from_device_parts(ctx, out_len, Distribution::Block, val_parts),
