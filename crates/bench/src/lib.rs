@@ -951,35 +951,6 @@ pub fn nn_virtual_s(q: usize, p: usize, dim: usize, devices: usize, device_side:
     )
 }
 
-/// E6 (Stencil2D variant): kernel binary cache behaviour of a generated
-/// Stencil2D program — cold source build vs the on-disk cache hit a second
-/// context gets.
-pub fn run_stencil_cache_experiment() -> CacheResult {
-    let platform = figure_platform(1);
-    platform.compiler().clear_cache().expect("clear cache");
-    let queue = platform.queue(0, DriverProfile::opencl());
-    let gauss3 = skelcl::codegen::FusedStage::new(
-        "stencil",
-        "gauss3",
-        "float gauss3(__global float* in, int r, int c, uint nr, uint nc) { /* 3x3 blur */ }",
-        1,
-    );
-    let program = skelcl::codegen::stencil2d_program(&[gauss3], "float", "float", 1, "neumann");
-    let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
-
-    let (_, first) = queue.build_kernel(&program, body.clone()).expect("build");
-    assert!(!first.from_cache);
-    let (_, second) = queue.build_kernel(&program, body).expect("rebuild");
-    assert!(second.from_cache);
-    platform.compiler().clear_cache().expect("clear cache");
-    CacheResult {
-        compile_virtual_s: first.virtual_s,
-        load_virtual_s: second.virtual_s,
-        compile_wall_s: first.wall_s,
-        load_wall_s: second.wall_s,
-    }
-}
-
 /// Sanity anchor used by tests: OpenCL-vs-CUDA and SkelCL-vs-OpenCL
 /// relations the paper reports, checked at bench scale.
 pub fn paper_shape_holds(f1: &Fig1Runtimes) -> bool {
@@ -1294,14 +1265,29 @@ mod tests {
 
     #[test]
     fn stencil2d_program_hits_the_kernel_cache_on_second_compile() {
-        // run_stencil_cache_experiment asserts the second build is served
-        // from the on-disk cache; here we also pin down that the cached
-        // load is meaningfully cheaper, as for the 1D skeleton programs.
-        let r = run_stencil_cache_experiment();
+        // A generated Stencil2D program: the second build is served from
+        // the on-disk cache, and the cached load is meaningfully cheaper,
+        // as for the 1D skeleton programs.
+        let platform = figure_platform(1);
+        platform.compiler().clear_cache().expect("clear cache");
+        let queue = platform.queue(0, DriverProfile::opencl());
+        let gauss3 = skelcl::codegen::FusedStage::new(
+            "stencil",
+            "gauss3",
+            "float gauss3(__global float* in, int r, int c, uint nr, uint nc) { /* 3x3 blur */ }",
+            1,
+        );
+        let program = skelcl::codegen::stencil2d_program(&[gauss3], "float", "float", 1, "neumann");
+        let body: vgpu::KernelBody = std::sync::Arc::new(|_wg: &vgpu::WorkGroup| {});
+        let (_, first) = queue.build_kernel(&program, body.clone()).expect("build");
+        assert!(!first.from_cache);
+        let (_, second) = queue.build_kernel(&program, body).expect("rebuild");
+        assert!(second.from_cache);
+        platform.compiler().clear_cache().expect("clear cache");
+        let speedup = first.virtual_s / second.virtual_s;
         assert!(
-            r.virtual_speedup() >= 5.0,
-            "stencil cache speedup {} below the >=5x bar",
-            r.virtual_speedup()
+            speedup >= 5.0,
+            "stencil cache speedup {speedup} below the >=5x bar"
         );
     }
 

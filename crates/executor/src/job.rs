@@ -86,7 +86,7 @@ impl Job {
 fn axpb_user_fn(a: f32, b: f32) -> skelcl::UserFn<impl Fn(f32) -> f32 + Clone> {
     // One generated program per (a, b) pair: the scalars are baked into the
     // kernel body, so distinct pairs exercise the shared program registry
-    // (and its admission control) rather than one kernel with arguments.
+    // rather than one kernel with arguments.
     let name = format!("axpb_{:08x}_{:08x}", a.to_bits(), b.to_bits());
     let source = format!("float {name}(float x) {{ return {a:?}f * x + {b:?}f; }}");
     skelcl::UserFn::new(name, source, move |x: f32| a * x + b)

@@ -14,10 +14,9 @@
 //!   virtual-time latency accounting.
 //! - **[`Executor`]** — per-tenant in-order streams forked off one shared
 //!   platform ([`skelcl::Context::fork_streams`]): tenants share the
-//!   device engines, the compiled-program registry (with per-tenant
-//!   admission quotas) and the metrics registry, but their command streams
-//!   are ordered independently, so one tenant's backlog does not order
-//!   another tenant's work.
+//!   device engines, the compiled-program registry and the metrics
+//!   registry, but their command streams are ordered independently, so
+//!   one tenant's backlog does not order another tenant's work.
 //! - **Scheduling** — bounded per-tenant queues with shed-on-full
 //!   backpressure, weighted round-robin dispatch (a flooding tenant only
 //!   grows its own queue), and batch coalescing that fuses consecutive

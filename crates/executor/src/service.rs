@@ -37,8 +37,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use skelcl::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use skelcl::{Context, ContextConfig, ProgramRegistry, SloSummary};
-use vgpu::Platform;
+use skelcl::{Context, SloSummary};
+use vgpu::{Platform, PlatformConfig};
 
 use crate::handle::{JobError, JobHandle, JobReport, Slot, SubmitError};
 use crate::job::{run_batch, Job};
@@ -70,7 +70,7 @@ pub struct ExecutorConfig {
     /// Queue-drain policy.
     pub scheduling: SchedulingMode,
     /// Start with the dispatcher paused (tests/benches pre-load queues,
-    /// then `resume` for a deterministic dispatch schedule).
+    /// then `drain` for a deterministic dispatch schedule).
     pub paused: bool,
     /// Optional per-job latency target (virtual seconds). When set, each
     /// completed job whose submit→ready latency exceeds the target bumps
@@ -214,7 +214,7 @@ struct Shared {
     root: Context,
     cfg: ExecutorConfig,
     state: Mutex<SchedState>,
-    /// Signalled on submit / resume / shutdown — wakes the dispatcher.
+    /// Signalled on submit / drain / shutdown — wakes the dispatcher.
     work: Condvar,
     /// Signalled when the service goes idle — wakes `drain`.
     idle: Condvar,
@@ -252,24 +252,19 @@ pub struct Executor {
 impl Executor {
     /// Build a fresh virtual platform per `cfg` and start the dispatcher.
     pub fn new(cfg: ExecutorConfig) -> Executor {
-        let mut cc = ContextConfig::default()
+        let mut pc = PlatformConfig::default()
             .devices(cfg.devices)
-            .spec(cfg.spec)
-            .work_group(cfg.work_group);
+            .spec(cfg.spec);
         if let Some(tag) = &cfg.cache_tag {
-            cc = cc.cache_tag(tag.clone());
+            pc = pc.cache_tag(tag);
         }
-        // Round-trip through a plain Context to reuse its platform wiring,
-        // then rebuild with the admission-controlled registry.
-        let platform = Context::new(cc).platform().clone();
-        Executor::from_platform(platform, cfg)
+        Executor::from_platform(Platform::new(pc), cfg)
     }
 
     /// Wrap an existing platform (benches share one platform between the
     /// executor and hand-rolled baselines).
     pub fn from_platform(platform: Platform, cfg: ExecutorConfig) -> Executor {
-        let programs = Arc::new(ProgramRegistry::unbounded());
-        let root = Context::from_platform_shared(platform, cfg.work_group, programs);
+        let root = Context::from_platform(platform, cfg.work_group);
         let metrics = ServiceMetrics::new(root.metrics());
         let shared = Arc::new(Shared {
             root,
@@ -307,7 +302,7 @@ impl Executor {
     /// round-robin visit (min 1).
     pub fn add_tenant(&self, name: impl Into<String>, weight: usize) -> TenantId {
         let name = name.into();
-        let ctx = self.shared.root.fork_streams(name.clone());
+        let ctx = self.shared.root.fork_streams();
         let reg = self.shared.root.metrics();
         let mut st = self.shared.state.lock().unwrap();
         let id = st.tenants.len();
@@ -379,12 +374,6 @@ impl Executor {
     /// Halt dispatch (queued jobs stay queued; submissions still accepted).
     pub fn pause(&self) {
         self.shared.state.lock().unwrap().paused = true;
-    }
-
-    /// Resume dispatch after [`Executor::pause`].
-    pub fn resume(&self) {
-        self.shared.state.lock().unwrap().paused = false;
-        self.shared.work.notify_all();
     }
 
     /// Block until every queued and in-flight job has completed. Resumes a

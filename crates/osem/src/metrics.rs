@@ -1,32 +1,6 @@
 //! Image-quality metrics for validating reconstructions against the
 //! phantom ground truth and against each other.
 
-/// Root-mean-square error between two images.
-pub fn rmse(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = (*x - *y) as f64;
-            d * d
-        })
-        .sum();
-    ((sum / a.len() as f64) as f32).sqrt()
-}
-
-/// Maximum absolute element-wise difference.
-pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
-
 /// Pearson correlation coefficient between two images.
 pub fn correlation(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
@@ -72,6 +46,32 @@ pub fn relative_l2(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Root-mean-square error between two images.
+    fn rmse(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        if a.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| {
+                let d = (*x - *y) as f64;
+                d * d
+            })
+            .sum();
+        ((sum / a.len() as f64) as f32).sqrt()
+    }
+
+    /// Maximum absolute element-wise difference.
+    fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f32::max)
+    }
 
     #[test]
     fn identical_images_have_zero_error() {

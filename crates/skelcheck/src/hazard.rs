@@ -39,7 +39,6 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vgpu::{BufferId, CmdKind, CommandObserver, CommandRecord, DeviceId};
 
@@ -433,18 +432,11 @@ pub fn verify_no_buffer_hazards(trace: &[CommandRecord]) -> Option<String> {
 #[derive(Debug, Default)]
 pub struct OnlineHazardChecker {
     state: Mutex<HazardState>,
-    checked: AtomicU64,
 }
 
 impl OnlineHazardChecker {
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// Commands checked so far (feeds the `skelcheck.hazards_checked`
-    /// metric).
-    pub fn commands_checked(&self) -> u64 {
-        self.checked.load(Ordering::Relaxed)
     }
 
     /// Build the observer closure to install via
@@ -455,7 +447,6 @@ impl OnlineHazardChecker {
             let mut st = me.state.lock();
             let before = st.hazards().len();
             st.push(group);
-            me.checked.fetch_add(1, Ordering::Relaxed);
             if st.hazards().len() > before {
                 let msg = st.hazards()[before..]
                     .iter()
@@ -693,7 +684,6 @@ mod tests {
             .on_stream(1)
             .asynchronous()
             .with_writes(vec![whole(9, 128)])]);
-        assert_eq!(checker.commands_checked(), 1);
         let racy = kernel(2, 0, 0.5, 1.5)
             .on_stream(2)
             .asynchronous()

@@ -1,5 +1,5 @@
 //! Mutation-style negative tests: hand-built timelines modelled on the
-//! three real async patterns in the codebase — MapOverlap halo exchange,
+//! three real async patterns in the codebase — the overlapped halo exchange,
 //! streamed (chunked) uploads, and the executor's cross-tenant result copy
 //! — each with its one load-bearing dependency edge either present (the
 //! detector must stay silent) or dropped (the detector must report exactly

@@ -66,10 +66,10 @@ impl<F> UserFn<F> {
         &self.f
     }
 
-    /// Override the static cost estimate (for user functions whose source
-    /// text poorly predicts their cost; loops should instead report
-    /// dynamically via [`crate::work`]).
-    pub fn with_static_ops(mut self, ops: u64) -> Self {
+    /// Override the static cost estimate (test-only: loops report their
+    /// cost dynamically via [`crate::work`]).
+    #[cfg(test)]
+    fn with_static_ops(mut self, ops: u64) -> Self {
         self.static_ops = ops;
         self
     }
@@ -437,28 +437,6 @@ pub fn reduce_cols_arg_program(fn_name: &str, fn_source: &str, t: &str) -> Progr
     Program::from_source(program_name("reduce_cols_arg", fn_name, &[t]), source).with_arg_count(10)
 }
 
-/// Generate the MapOverlap skeleton program (stencil with halo; SkelCL's
-/// follow-up extension, announced as future work in Section III-D).
-pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usize) -> Program {
-    let source = format!(
-        "// generated by SkelCL codegen: MapOverlap skeleton, radius {radius}\n\
-         {fn_source}\n\
-         __kernel void skelcl_map_overlap(__global const {t}* restrict in,\n\
-                                          __global {t}* restrict out,\n\
-                                          const uint n) {{\n\
-             uint gid = get_global_id(0);\n\
-             if (gid < n) {{\n\
-                 out[gid] = {fn_name}(in, gid, n);\n\
-             }}\n\
-         }}\n"
-    );
-    Program::from_source(
-        program_name(&format!("mapoverlap{radius}"), fn_name, &[t]),
-        source,
-    )
-    .with_arg_count(3)
-}
-
 // ---------------------------------------------------------------------------
 // Matrix skeleton programs: one builder per kernel shape.
 //
@@ -471,7 +449,8 @@ pub fn map_overlap_program(fn_name: &str, fn_source: &str, t: &str, radius: usiz
 // once and the kernel body chains the calls, so no intermediate buffer ever
 // appears in the emitted code. The joined stage names (and, for stencils,
 // radius and boundary mode) go into the program name; the program is cached
-// in the `ProgramRegistry` under its source hash like any other program.
+// in the context's program registry under its source hash like any other
+// program.
 // The emitted kernel and program names keep their `fused` spelling: the
 // source text is the cache key, and its length sets the modeled build cost.
 

@@ -13,12 +13,9 @@
 //! For multi-tenant serving (see the `skelcl-executor` crate) a context can
 //! be **forked**: [`Context::fork_streams`] creates a sibling context with
 //! its own per-device main+copy stream pair while sharing the platform, the
-//! [`ProgramRegistry`], the metrics registry, and the span collector — one
-//! stream pair per tenant, device engines shared. The shared program
-//! registry optionally enforces **admission control** (a global capacity and
-//! a per-owner quota with LRU eviction), so one tenant flooding the cache
-//! with throwaway kernels evicts its *own* entries first instead of
-//! thrashing everyone else's.
+//! program registry, the metrics registry, and the span collector — one
+//! stream pair per tenant, device engines shared, and a program built by
+//! one tenant is a registry hit for every other.
 
 use crate::error::{Error, Result};
 use crate::metrics::{Counter, MetricValue, MetricsRegistry};
@@ -91,164 +88,45 @@ struct RegistryEntry {
     /// The program the kernel was built from — kept so checkers (the
     /// `skelcheck` lint pass) can iterate every source this process built.
     program: Program,
-    /// Owner tag of the context that built this entry (tenant name; `""`
-    /// for un-forked contexts).
-    owner: String,
-    /// LRU clock value of the most recent hit or insert.
-    last_use: u64,
 }
 
+/// The in-memory compiled-program cache, keyed by program hash and shared
+/// between contexts (every [`Context::fork_streams`] sibling holds the same
+/// `Arc<ProgramRegistry>`). Unbounded, like SkelCL, which keeps built
+/// kernels alive per process.
 #[derive(Default)]
-struct RegistryState {
-    entries: HashMap<u64, RegistryEntry>,
-    /// Monotonic LRU clock, bumped on every lookup/insert.
-    tick: u64,
-}
-
-/// The in-memory compiled-program cache, shareable between contexts (every
-/// [`Context::fork_streams`] sibling holds the same `Arc<ProgramRegistry>`).
-///
-/// By default the registry is unbounded — matching SkelCL, which keeps
-/// built kernels alive per process. [`ProgramRegistry::with_limits`] turns
-/// on **admission control** for multi-tenant serving:
-///
-/// - `owner_quota` caps how many resident entries a single owner tag may
-///   hold; an owner at quota evicts its *own* least-recently-used entry, so
-///   a kernel-flooding tenant only thrashes itself.
-/// - `capacity` caps the total resident entries; beyond it the globally
-///   least-recently-used entry is evicted.
-///
-/// Evicted programs are not lost — the on-disk compiler cache still holds
-/// the binary — but the next use pays code generation plus the (cheap)
-/// disk-cache load again.
-#[derive(Default)]
-pub struct ProgramRegistry {
-    /// Total resident-entry cap (`0` = unbounded).
-    capacity: usize,
-    /// Per-owner resident-entry cap (`0` = unbounded).
-    owner_quota: usize,
-    state: Mutex<RegistryState>,
+struct ProgramRegistry {
+    entries: Mutex<HashMap<u64, RegistryEntry>>,
 }
 
 impl ProgramRegistry {
-    /// An unbounded registry (the default for standalone contexts).
-    pub fn unbounded() -> ProgramRegistry {
-        ProgramRegistry::default()
-    }
-
-    /// A registry with admission control: at most `capacity` resident
-    /// programs in total and at most `owner_quota` per owner tag (`0`
-    /// disables the respective limit).
-    pub fn with_limits(capacity: usize, owner_quota: usize) -> ProgramRegistry {
-        ProgramRegistry {
-            capacity,
-            owner_quota,
-            state: Mutex::new(RegistryState::default()),
-        }
-    }
-
     /// Number of resident compiled programs.
-    pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
+    fn len(&self) -> usize {
+        self.entries.lock().len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of resident programs built by `owner`.
-    pub fn resident_for(&self, owner: &str) -> usize {
-        self.state
-            .lock()
-            .entries
-            .values()
-            .filter(|e| e.owner == owner)
-            .count()
-    }
-
-    /// Look up a built kernel, bumping its LRU clock on hit.
     fn lookup(&self, hash: u64) -> Option<CompiledKernel> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        st.entries.get_mut(&hash).map(|e| {
-            e.last_use = tick;
-            e.kernel.clone()
-        })
+        self.entries.lock().get(&hash).map(|e| e.kernel.clone())
     }
 
     /// Every resident program's source, for registry-wide analysis
-    /// ([`crate::Context::lint_registry`]).
-    pub fn programs(&self) -> Vec<Program> {
-        self.state
+    /// ([`Context::lint_registry`]).
+    fn programs(&self) -> Vec<Program> {
+        self.entries
             .lock()
-            .entries
             .values()
             .map(|e| e.program.clone())
             .collect()
     }
 
-    /// Insert a freshly built kernel under `owner`, evicting per the
-    /// admission-control policy. Returns how many entries were evicted.
-    fn insert(&self, owner: &str, hash: u64, program: &Program, kernel: CompiledKernel) -> usize {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        let mut evicted = 0;
-        if self.owner_quota > 0 {
-            while st.entries.values().filter(|e| e.owner == owner).count() >= self.owner_quota {
-                let victim = Self::lru_key(&st, Some(owner));
-                match victim {
-                    Some(k) => {
-                        st.entries.remove(&k);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        if self.capacity > 0 {
-            while st.entries.len() >= self.capacity {
-                let victim = Self::lru_key(&st, None);
-                match victim {
-                    Some(k) => {
-                        st.entries.remove(&k);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        st.entries.insert(
+    fn insert(&self, hash: u64, program: &Program, kernel: CompiledKernel) {
+        self.entries.lock().insert(
             hash,
             RegistryEntry {
                 kernel,
                 program: program.clone(),
-                owner: owner.to_string(),
-                last_use: tick,
             },
         );
-        evicted
-    }
-
-    /// Key of the least-recently-used entry, optionally restricted to one
-    /// owner tag.
-    fn lru_key(st: &RegistryState, owner: Option<&str>) -> Option<u64> {
-        st.entries
-            .iter()
-            .filter(|(_, e)| owner.is_none_or(|o| e.owner == o))
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(k, _)| *k)
-    }
-}
-
-impl std::fmt::Debug for ProgramRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramRegistry")
-            .field("resident", &self.len())
-            .field("capacity", &self.capacity)
-            .field("owner_quota", &self.owner_quota)
-            .finish()
     }
 }
 
@@ -260,9 +138,6 @@ struct ContextInner {
     copy_queues: Vec<CommandQueue>,
     profile: DriverProfile,
     work_group: usize,
-    /// Owner tag stamped on program-registry entries built through this
-    /// context (`""` for un-forked contexts, the tenant name for forks).
-    owner: String,
     /// Compiled-program registry (body is a placeholder; launches rebind).
     /// Shared between [`Context::fork_streams`] siblings.
     programs: Arc<ProgramRegistry>,
@@ -278,8 +153,6 @@ struct ContextInner {
     /// as `cache_loads` in the platform stats.
     program_cache_hits: Counter,
     program_cache_misses: Counter,
-    /// Admission-control evictions (`skelcl.program_cache.evictions`).
-    program_cache_evictions: Counter,
     /// Skeleton-level span collector (see [`crate::trace`]). Shared between
     /// forked siblings so tenant skeleton spans land in one stream.
     spans: Arc<SpanCollector>,
@@ -314,17 +187,6 @@ impl Context {
     /// Wrap an existing platform (so benchmarks can run SkelCL and the
     /// low-level baselines against the *same* virtual hardware).
     pub fn from_platform(platform: Platform, work_group: usize) -> Context {
-        Context::from_platform_shared(platform, work_group, Arc::new(ProgramRegistry::unbounded()))
-    }
-
-    /// Wrap an existing platform with an explicit (possibly shared,
-    /// possibly admission-controlled) program registry. The executor service
-    /// uses this to bound the compiled-kernel cache across tenants.
-    pub fn from_platform_shared(
-        platform: Platform,
-        work_group: usize,
-        programs: Arc<ProgramRegistry>,
-    ) -> Context {
         let profile = DriverProfile::skelcl();
         let queues = (0..platform.n_devices())
             .map(|i| platform.queue(i, profile))
@@ -336,7 +198,6 @@ impl Context {
         let halo_exchanges = metrics.counter("skelcl.halo_exchanges");
         let program_cache_hits = metrics.counter("skelcl.program_cache.hits");
         let program_cache_misses = metrics.counter("skelcl.program_cache.misses");
-        let program_cache_evictions = metrics.counter("skelcl.program_cache.evictions");
         let ctx = Context {
             inner: Arc::new(ContextInner {
                 platform,
@@ -344,13 +205,11 @@ impl Context {
                 copy_queues,
                 profile,
                 work_group,
-                owner: String::new(),
-                programs,
+                programs: Arc::default(),
                 metrics,
                 halo_exchanges,
                 program_cache_hits,
                 program_cache_misses,
-                program_cache_evictions,
                 spans: Arc::new(SpanCollector::default()),
             }),
         };
@@ -367,12 +226,11 @@ impl Context {
     /// themselves — the device *engines* stay shared and arbitrate between
     /// tenants), while the platform, the compiled-program registry, the
     /// metrics registry, the span collector, and all `skelcl.*` counters
-    /// are shared with `self`. Programs built through the fork are stamped
-    /// with `owner` for the registry's admission control.
+    /// are shared with `self`.
     ///
     /// Containers and skeletons created from the fork use its streams
     /// automatically; nothing else changes.
-    pub fn fork_streams(&self, owner: impl Into<String>) -> Context {
+    pub fn fork_streams(&self) -> Context {
         let platform = self.inner.platform.clone();
         let queues = (0..platform.n_devices())
             .map(|i| platform.queue(i, self.inner.profile))
@@ -387,27 +245,14 @@ impl Context {
                 copy_queues,
                 profile: self.inner.profile,
                 work_group: self.inner.work_group,
-                owner: owner.into(),
                 programs: self.inner.programs.clone(),
                 metrics: self.inner.metrics.clone(),
                 halo_exchanges: self.inner.halo_exchanges.clone(),
                 program_cache_hits: self.inner.program_cache_hits.clone(),
                 program_cache_misses: self.inner.program_cache_misses.clone(),
-                program_cache_evictions: self.inner.program_cache_evictions.clone(),
                 spans: self.inner.spans.clone(),
             }),
         }
-    }
-
-    /// The owner tag stamped on programs built through this context (`""`
-    /// unless this context was created by [`Context::fork_streams`]).
-    pub fn owner(&self) -> &str {
-        &self.inner.owner
-    }
-
-    /// The (possibly shared) compiled-program registry.
-    pub fn program_registry(&self) -> &Arc<ProgramRegistry> {
-        &self.inner.programs
     }
 
     pub fn n_devices(&self) -> usize {
@@ -531,16 +376,12 @@ impl Context {
         let (kernel, _) = self.inner.queues[0]
             .build_kernel(program, placeholder)
             .map_err(Error::Platform)?;
-        let evicted = self
-            .inner
-            .programs
-            .insert(&self.inner.owner, hash, program, kernel.clone());
-        self.inner.program_cache_evictions.add(evicted as u64);
+        self.inner.programs.insert(hash, program, kernel.clone());
         Ok(kernel)
     }
 
-    /// Number of programs currently resident in the registry (equals the
-    /// number built so far when the registry is unbounded).
+    /// Number of programs currently resident in the (shared) registry —
+    /// every distinct program built so far.
     pub fn programs_built(&self) -> usize {
         self.inner.programs.len()
     }
@@ -572,12 +413,6 @@ impl Context {
     /// or disk-cache load was paid).
     pub fn program_cache_misses(&self) -> u64 {
         self.inner.program_cache_misses.get()
-    }
-
-    /// Programs evicted from the in-memory registry by admission control
-    /// (always 0 for unbounded registries).
-    pub fn program_cache_evictions(&self) -> u64 {
-        self.inner.program_cache_evictions.get()
     }
 
     /// The context's typed metrics registry. SkelCL's own counters live
@@ -782,8 +617,7 @@ mod tests {
     fn fork_shares_programs_metrics_and_platform() {
         let c = ctx(2);
         c.platform().compiler().clear_cache().unwrap();
-        let t = c.fork_streams("tenant-a");
-        assert_eq!(t.owner(), "tenant-a");
+        let t = c.fork_streams();
         assert_eq!(t.n_devices(), 2);
         // Fresh streams: the fork's queues are distinct objects...
         assert!(!std::ptr::eq(c.queue(0), t.queue(0)));
@@ -804,71 +638,5 @@ mod tests {
         t.metrics().counter("tenant.test").add(7);
         assert_eq!(c.metrics().counter_value("tenant.test"), Some(7));
         c.platform().compiler().clear_cache().unwrap();
-    }
-
-    #[test]
-    fn owner_quota_evicts_own_lru_entry_first() {
-        let reg = ProgramRegistry::with_limits(0, 2);
-        let cfg = ContextConfig::default()
-            .spec(vgpu::DeviceSpec::tiny())
-            .cache_tag("skelcl-context-quota");
-        let pc = PlatformConfig::default()
-            .devices(1)
-            .spec(vgpu::DeviceSpec::tiny());
-        let root = Context::from_platform_shared(
-            Platform::new(pc.cache_tag("skelcl-context-quota")),
-            cfg.work_group,
-            Arc::new(reg),
-        );
-        root.platform().compiler().clear_cache().unwrap();
-        let a = root.fork_streams("a");
-        let b = root.fork_streams("b");
-        a.get_or_build(&prog("qa_one")).unwrap();
-        a.get_or_build(&prog("qa_two")).unwrap();
-        b.get_or_build(&prog("qb_one")).unwrap();
-        assert_eq!(root.program_cache_evictions(), 0);
-        // Third program for owner "a" evicts a's LRU entry, not b's.
-        a.get_or_build(&prog("qa_three")).unwrap();
-        assert_eq!(root.program_cache_evictions(), 1);
-        assert_eq!(root.program_registry().resident_for("a"), 2);
-        assert_eq!(root.program_registry().resident_for("b"), 1);
-        // The evicted program rebuilds (a registry miss), evicting again.
-        let misses = root.program_cache_misses();
-        a.get_or_build(&prog("qa_one")).unwrap();
-        assert_eq!(root.program_cache_misses(), misses + 1);
-        assert_eq!(root.program_cache_evictions(), 2);
-        root.platform().compiler().clear_cache().unwrap();
-    }
-
-    #[test]
-    fn capacity_evicts_global_lru() {
-        let root = Context::from_platform_shared(
-            Platform::new(
-                PlatformConfig::default()
-                    .devices(1)
-                    .spec(vgpu::DeviceSpec::tiny())
-                    .cache_tag("skelcl-context-cap"),
-            ),
-            DEFAULT_WORK_GROUP,
-            Arc::new(ProgramRegistry::with_limits(2, 0)),
-        );
-        root.platform().compiler().clear_cache().unwrap();
-        let p1 = prog("cap_one");
-        let p2 = prog("cap_two");
-        root.get_or_build(&p1).unwrap();
-        root.get_or_build(&p2).unwrap();
-        // Touch p1 so p2 becomes the LRU victim.
-        root.get_or_build(&p1).unwrap();
-        root.get_or_build(&prog("cap_three")).unwrap();
-        assert_eq!(root.program_cache_evictions(), 1);
-        assert_eq!(root.programs_built(), 2);
-        // p1 survived; p2 was evicted.
-        let hits = root.program_cache_hits();
-        root.get_or_build(&p1).unwrap();
-        assert_eq!(root.program_cache_hits(), hits + 1);
-        let misses = root.program_cache_misses();
-        root.get_or_build(&p2).unwrap();
-        assert_eq!(root.program_cache_misses(), misses + 1);
-        root.platform().compiler().clear_cache().unwrap();
     }
 }

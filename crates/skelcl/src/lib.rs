@@ -15,8 +15,8 @@
 //! * multi-GPU [`Distribution`]s — `Single`, `Copy`, `Block` — with
 //!   automatic inter-device exchange on redistribution, including
 //!   redistribution with a combine operator (Section III-D),
-//! * plus the [`MapOverlap`] stencil and the with-arguments Map/Zip
-//!   variants the paper's applications rely on,
+//! * plus the with-arguments skeleton variants [`MapArgs`], [`MapVoid`]
+//!   and [`ZipArgs`] (Section III-C),
 //! * the 2D subsystem SkelCL grew next: the [`Matrix`] container with
 //!   [`MatrixDistribution::RowBlock`] halo distribution and the
 //!   [`Stencil2D`] skeleton behind the image-processing benchmark suite
@@ -48,7 +48,6 @@
 //! | [`Zip`]         | [`Vector`], [`Matrix`]| `U f(T1, T2)`                   | `Single`, `Copy`, `Block` / any matrix    |
 //! | [`Reduce`]      | [`Vector`]            | associative `T f(T, T)` + id    | `Single`, `Copy`, `Block`                 |
 //! | [`Scan`]        | [`Vector`]            | associative `T f(T, T)` + id    | `Single`, `Copy`, `Block`                 |
-//! | [`MapOverlap`]  | [`Vector`]            | `T f(view)` over a radius       | `Single`, `Copy`, `Block`                 |
 //! | [`Stencil2D`]   | [`Matrix`]            | `U f(view)` over a 2D radius    | `Single`, `Copy`, `RowBlock { halo }`     |
 //! | [`Stencil2D::iterate`] | [`Matrix`]     | same, applied `n` times         | `Single`, `Copy`, `RowBlock { halo }`     |
 //! | [`AllPairs`]    | [`Matrix`]            | zip `U f(T, T)` + reduce + id   | A: row-based; B: `Copy` / `ColBlock` / …  |
@@ -59,8 +58,8 @@
 //! | [`Pipeline`]    | [`Matrix`]            | lazy `map`/`zip_with`/`stencil` chain, fused per stencil anchor | any matrix |
 //! | Canny (`skelcl-imgproc`) | [`Matrix`] → labels + host hysteresis | gauss → sobel → nms → threshold via [`Pipeline`] (3 fused launches) | `Single`, `Copy`, `RowBlock { halo }` |
 //!
-//! (Plus the composed [`MapReduce`]/[`MapIndex`] fusions and the
-//! with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].)
+//! (Plus the with-arguments variants [`MapArgs`], [`MapVoid`], [`ZipArgs`].
+//! A 1-D stencil is a [`Stencil2D`] over an N×1 [`Matrix`].)
 //! Every program family in this table — including the fused pipeline
 //! variants — is vetted by the `skelcheck` kernel lint pass in CI; see
 //! *Static analysis* below.
@@ -129,7 +128,7 @@
 //!    `examples/trace_export.rs`), [`RunReport`] distills a run into
 //!    per-device engine utilization, copy-under-compute overlap, and a
 //!    roofline verdict (achieved vs. the [`vgpu::timing`] cost model's
-//!    peak rates), and [`text_report`] renders it for humans.
+//!    peak rates), and its `Display` renders it for humans.
 //! 4. **Telemetry export** (the [`telemetry`] module) — everything above
 //!    in machine-readable form: [`export_json`] writes a schema-versioned
 //!    JSON document (version [`telemetry::SCHEMA_VERSION`]) carrying the
@@ -170,8 +169,8 @@
 //!   panics at the exact enqueue that completes a race; each vetted
 //!   command bumps the `skelcheck.hazards_checked` counter.
 //! * **Generated kernel sources** — [`Context::lint_registry`] runs
-//!   [`check::lint_program`] over every program resident in the
-//!   [`ProgramRegistry`]: barriers under thread-divergent control flow,
+//!   [`check::lint_program`] over every program resident in the context's
+//!   program registry: barriers under thread-divergent control flow,
 //!   `__local` declarations over the device budget, host/kernel
 //!   argument-count mismatches ([`Error::KernelArgMismatch`] is the
 //!   runtime twin of that lint), and thread-id-indexed global accesses
@@ -192,12 +191,9 @@
 //!   the device engines, the metrics registry and the span collector, but
 //!   each tenant's commands are ordered only among themselves, so one
 //!   tenant's backlog never orders another's work.
-//! * [`ProgramRegistry`] — the compiled-program cache, shareable across
-//!   contexts and optionally admission-controlled
-//!   ([`ProgramRegistry::with_limits`]): a per-owner quota evicts the
-//!   flooding tenant's *own* LRU programs first, then a global capacity
-//!   bound evicts the global LRU. Evictions surface as the
-//!   `skelcl.program_cache.evictions` counter.
+//! * the compiled-program registry, shared by every fork: a program one
+//!   tenant built is a registry hit (`skelcl.program_cache.hits`) for
+//!   every other tenant.
 //! * [`Matrix::read_back_async`] / [`Vector::read_back_async`] — download
 //!   results on the copy stream *without* syncing the host clock, and
 //!   report the virtual completion time. The executor derives end-to-end
@@ -411,8 +407,8 @@
 //! `Zip::apply_matrix` and `Stencil2D::apply` are one-stage pipelines, and
 //! a stencil stage takes the same [`Stencil2DView`] user function a
 //! [`Stencil2D`] does. The OpenCL programs come from one [`codegen`]
-//! builder per kernel shape and are cached in the [`ProgramRegistry`]
-//! under a key derived from the exact stage chain — same chain, same
+//! builder per kernel shape and are cached in the context's program
+//! registry under a key derived from the exact stage chain — same chain, same
 //! program. Results are **bit-identical** to the unfused skeleton chain on
 //! every device count, boundary mode and distribution (the `prop_fusion`
 //! suite), and the launch count is observable as the
@@ -476,21 +472,19 @@ pub mod vector;
 
 pub use arguments::{ArgMat, ArgVec, Arguments, KernelEnv};
 pub use codegen::UserFn;
-pub use context::{Context, ContextConfig, ProgramRegistry, DEFAULT_WORK_GROUP};
+pub use context::{Context, ContextConfig, DEFAULT_WORK_GROUP};
 pub use error::{Error, Result};
 pub use matrix::{Matrix, MatrixDistribution};
 pub use meter::work;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry};
-pub use report::{
-    chrome_trace_json, roofline_report, text_report, RooflineReport, RunReport, SloSummary,
-};
+pub use report::{chrome_trace_json, roofline_report, RooflineReport, RunReport, SloSummary};
 pub use scalar::Scalar;
 pub use skeletons::{AllPairs, AllPairsStrategy};
-pub use skeletons::{Boundary, Map, MapArgs, MapOverlap, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Boundary2D, Stencil2D, Stencil2DView};
-pub use skeletons::{MapIndex, MapReduce, ReduceStrategy, ScanStrategy};
+pub use skeletons::{Map, MapArgs, MapVoid, Reduce, Scan, Zip, ZipArgs};
 pub use skeletons::{Pipeline, PipelineExpr};
 pub use skeletons::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};
+pub use skeletons::{ReduceStrategy, ScanStrategy};
 pub use telemetry::{export_json, render_prometheus, run_report_json};
 pub use trace::{verify_span_nesting, SpanGuard, SpanRecord};
 pub use vector::{Distribution, Vector};
@@ -508,7 +502,7 @@ pub use vgpu::Scalar as Element;
 pub mod prelude {
     pub use crate::skel_fn;
     pub use crate::{
-        Arguments, Boundary, Context, ContextConfig, Distribution, Element, Error, KernelEnv, Map,
-        MapArgs, MapOverlap, MapVoid, Reduce, Result, Scalar, Scan, UserFn, Vector, Zip, ZipArgs,
+        Arguments, Context, ContextConfig, Distribution, Element, Error, KernelEnv, Map, MapArgs,
+        MapVoid, Reduce, Result, Scalar, Scan, UserFn, Vector, Zip, ZipArgs,
     };
 }

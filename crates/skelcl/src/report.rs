@@ -8,7 +8,7 @@
 //!   trace-event format — load the file in Perfetto or `chrome://tracing`
 //!   and every device shows its compute and copy engine as separate tracks
 //!   under the skeleton spans that scheduled the work.
-//! * [`RunReport`] (and [`text_report`]) summarises one measured run:
+//! * [`RunReport`] (and its `Display`) summarises one measured run:
 //!   counter deltas, per-device/per-engine utilization, copy-under-compute
 //!   overlap, and the roofline verdict.
 //! * [`roofline_report`] compares what a run moved and computed against the
@@ -268,15 +268,15 @@ pub struct RooflineReport {
 }
 
 impl RooflineReport {
-    pub fn pct_peak_compute(&self) -> f64 {
+    fn pct_peak_compute(&self) -> f64 {
         pct(self.compute_floor_s, self.window_s)
     }
 
-    pub fn pct_peak_membw(&self) -> f64 {
+    fn pct_peak_membw(&self) -> f64 {
         pct(self.memory_floor_s, self.window_s)
     }
 
-    pub fn pct_peak_linkbw(&self) -> f64 {
+    fn pct_peak_linkbw(&self) -> f64 {
         pct(self.transfer_floor_s, self.window_s)
     }
 
@@ -305,12 +305,12 @@ impl RooflineReport {
     }
 
     /// Achieved arithmetic rate implied by the window (ops/s estimate).
-    pub fn achieved_ops_s(&self) -> f64 {
+    fn achieved_ops_s(&self) -> f64 {
         self.peak_ops_s * self.pct_peak_compute() / 100.0
     }
 
     /// Achieved device-memory bandwidth over the window (bytes/s).
-    pub fn achieved_mem_bytes_s(&self) -> f64 {
+    fn achieved_mem_bytes_s(&self) -> f64 {
         if self.window_s > 0.0 {
             self.kernel_global_bytes as f64 / self.window_s
         } else {
@@ -319,7 +319,7 @@ impl RooflineReport {
     }
 
     /// Achieved host-link bandwidth over the window (bytes/s).
-    pub fn achieved_link_bytes_s(&self) -> f64 {
+    fn achieved_link_bytes_s(&self) -> f64 {
         if self.window_s > 0.0 {
             self.link_bytes as f64 / self.window_s
         } else {
@@ -750,12 +750,6 @@ impl std::fmt::Display for RunReport {
         }
         write!(f, "  {}", self.roofline)
     }
-}
-
-/// The plain-text run report as a `String` (convenience over
-/// [`RunReport`]'s `Display`).
-pub fn text_report(report: &RunReport) -> String {
-    report.to_string()
 }
 
 /// A minimal JSON parser — just enough for the trace-export round-trip
@@ -1216,7 +1210,7 @@ mod tests {
         assert!((util - 80.0).abs() < 1e-6);
         assert!(snap.contains_key("skelcl.roofline.pct_of_peak"));
 
-        let text = text_report(&report);
+        let text = report.to_string();
         assert!(text.contains("gpu0"), "{text}");
         assert!(text.contains("overlap efficiency"), "{text}");
         assert!(report.summary_line().contains("of peak"));
@@ -1240,7 +1234,7 @@ mod tests {
         let line = report.summary_line();
         assert!(line.contains("lat p50"), "{line}");
         assert!(line.contains("p99"), "{line}");
-        let text = text_report(&report);
+        let text = report.to_string();
         assert!(text.contains("latency  : n=100"), "{text}");
 
         let metrics = MetricsRegistry::default();
@@ -1276,7 +1270,7 @@ mod tests {
         assert!(line.contains("slo"), "{line}");
         assert!(line.contains("miss 3/60"), "{line}");
         assert!(
-            text_report(&report).contains("3 of 60 job(s) missed"),
+            report.to_string().contains("3 of 60 job(s) missed"),
             "{report}"
         );
 
@@ -1371,7 +1365,7 @@ mod tests {
         let line = report.summary_line();
         assert!(line.contains("skelcheck 42 enqueues"), "{line}");
         assert!(
-            text_report(&report).contains("vetted 42 enqueue group(s)"),
+            report.to_string().contains("vetted 42 enqueue group(s)"),
             "{report}"
         );
 

@@ -1,8 +1,9 @@
 //! The algorithmic skeletons (paper Section III-B):
-//! [`Map`], [`Zip`], [`Reduce`], [`Scan`] — plus the with-arguments Map
-//! variants of Section III-C ([`MapArgs`], [`MapVoid`]) and the
-//! [`MapOverlap`] stencil extension that the paper's conclusion announces
-//! as follow-up work.
+//! [`Map`], [`Zip`], [`Reduce`], [`Scan`] — plus the with-arguments
+//! variants of Section III-C ([`MapArgs`], [`MapVoid`], [`ZipArgs`]) and
+//! the matrix skeletons SkelCL grew next ([`Stencil2D`], [`AllPairs`], the
+//! row/column reductions and the fused [`Pipeline`]). A 1-D stencil is a
+//! [`Stencil2D`] over an N×1 [`Matrix`](crate::Matrix).
 //!
 //! Every skeleton is a higher-order entity customized by a [`UserFn`](crate::UserFn)
 //! (source string + Rust twin, see [`crate::skel_fn!`]). Construction
@@ -12,8 +13,6 @@
 
 mod allpairs;
 mod map;
-mod map_overlap;
-mod map_reduce;
 mod pipeline;
 mod reduce;
 mod reduce2d;
@@ -23,8 +22,6 @@ mod zip;
 
 pub use allpairs::{AllPairs, AllPairsStrategy};
 pub use map::{Map, MapArgs, MapVoid};
-pub use map_overlap::{Boundary, MapOverlap, StencilView};
-pub use map_reduce::{MapIndex, MapReduce};
 pub use pipeline::{PipeMap, PipeStencil, PipeStencilPair, PipeZip, Pipeline, PipelineExpr, Start};
 pub use reduce::{Reduce, ReduceStrategy};
 pub use reduce2d::{ReduceCols, ReduceColsArg, ReduceRows, ReduceRowsArg};

@@ -25,8 +25,8 @@
 //! [`Stencil2D::apply`](crate::Stencil2D::apply) are one-stage pipelines,
 //! and `Stencil2D::apply_streamed` / `iterate` launch through the same
 //! [`StencilLauncher`] with their own schedules. Programs come from one
-//! `codegen` builder per kernel shape and are cached in the
-//! [`ProgramRegistry`](crate::ProgramRegistry) like any other program.
+//! `codegen` builder per kernel shape and are cached in the context's
+//! program registry like any other program.
 //! Stencil stages see their neighbourhood through
 //! [`Stencil2DView`](crate::Stencil2DView), the same view a lone
 //! `Stencil2D` call hands its user function.

@@ -195,7 +195,7 @@ where
                 });
                 // Sequential addressing is conflict-free; record the warp
                 // access pattern so the model can prove it.
-                record_tree_banks(wg, s, false);
+                record_tree_banks(wg, s);
                 wg.barrier();
                 s /= 2;
             }
@@ -254,23 +254,14 @@ where
 }
 
 /// Record the local-memory access pattern of one tree level for every warp:
-/// lanes `lid < s` read `lid` and `lid + s` (sequential addressing when
-/// `interleaved` is false) or `2*s*lid` and `2*s*lid + s` (the classic
-/// conflicting interleaved pattern) — the latter is used by the ablation.
-pub(crate) fn record_tree_banks(wg: &WorkGroup, s: usize, interleaved: bool) {
+/// lanes `lid < s` read `lid` and `lid + s` (sequential addressing).
+fn record_tree_banks(wg: &WorkGroup, s: usize) {
     let warp = vgpu::timing::WARP_SIZE;
-    let active = s;
     let mut lane = 0usize;
-    while lane < active {
-        let hi = (lane + warp).min(active);
-        if interleaved {
-            wg.bank_model().record_access((lane..hi).map(|l| 2 * s * l));
-            wg.bank_model()
-                .record_access((lane..hi).map(|l| 2 * s * l + s));
-        } else {
-            wg.bank_model().record_access(lane..hi);
-            wg.bank_model().record_access((lane..hi).map(|l| l + s));
-        }
+    while lane < s {
+        let hi = (lane + warp).min(s);
+        wg.bank_model().record_access(lane..hi);
+        wg.bank_model().record_access((lane..hi).map(|l| l + s));
         lane = hi;
     }
 }

@@ -1,9 +1,9 @@
 //! The Stencil2D skeleton: a 2D stencil over [`Matrix`] with automatic
 //! inter-device halo exchange.
 //!
-//! This is the 2D generalisation of [`crate::MapOverlap`] — the skeleton
-//! behind SkelCL's image-processing benchmarks (Gaussian blur, Sobel,
-//! Canny). Each output element is computed from its input element and the
+//! This is the skeleton behind SkelCL's image-processing benchmarks
+//! (Gaussian blur, Sobel, Canny); a 1-D stencil is a `Stencil2D` over an
+//! N×1 matrix. Each output element is computed from its input element and the
 //! `radius`-neighbourhood around it. Under a
 //! [`MatrixDistribution::RowBlock`] distribution the neighbourhood crosses
 //! device boundaries; the halo rows the distribution maintains (refreshed

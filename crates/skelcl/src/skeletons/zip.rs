@@ -151,8 +151,8 @@ where
     }
 }
 
-/// Zip with additional arguments (used by OSEM's reconstruction-image
-/// update, whose kernel "resembles the body of the second inner loop").
+/// Zip with additional arguments (paper Section III-C): the customizing
+/// function receives the two elements plus the extra scalars and vectors.
 pub struct ZipArgs<T1: Element, T2: Element, U: Element, F> {
     user: UserFn<F>,
     n_extra: usize,

@@ -71,7 +71,7 @@ pub fn histogram_json(h: &HistogramSnapshot) -> String {
 
 /// One metric value as a self-typed JSON object
 /// (`{"type":"counter","value":…}` etc.).
-pub fn metric_json(v: &MetricValue) -> String {
+fn metric_json(v: &MetricValue) -> String {
     match v {
         MetricValue::Counter(c) => format!("{{\"type\":\"counter\",\"value\":{c}}}"),
         MetricValue::Gauge(g) => {
@@ -85,7 +85,7 @@ pub fn metric_json(v: &MetricValue) -> String {
 
 /// A full metrics snapshot (e.g. [`crate::Context::metrics_snapshot`]) as
 /// one JSON object keyed by metric name.
-pub fn metrics_json(snap: &BTreeMap<String, MetricValue>) -> String {
+fn metrics_json(snap: &BTreeMap<String, MetricValue>) -> String {
     let body: Vec<String> = snap
         .iter()
         .map(|(name, v)| format!("\"{}\":{}", json_escape(name), metric_json(v)))

@@ -10,7 +10,6 @@
 //! wrapped or clamped neighbour access, so results stay bit-identical to
 //! the sequential reference even when the radius exceeds the matrix.
 
-use skelcl::skeletons::StencilView;
 use skelcl::*;
 
 fn ctx(n: usize) -> Context {
@@ -171,22 +170,6 @@ fn tiny_vectors_on_many_devices() {
                 .map(|i| (0..i).map(|j| j as f32 + 1.0).sum())
                 .collect();
             assert_eq!(sc.to_vec().unwrap(), want, "scan len={len} d={devices}");
-            let mo = MapOverlap::new(
-                UserFn::new(
-                    "mo",
-                    "float mo(__global float* in, uint i, uint n) { /* in[i-1]+in[i+1] */ }",
-                    |view: &StencilView<'_, f32>| view.get(-1) + view.get(1),
-                ),
-                1,
-                Boundary::Clamp,
-            )
-            .apply(&v)
-            .unwrap();
-            assert_eq!(
-                mo.to_vec().unwrap().len(),
-                len,
-                "mapoverlap len={len} d={devices}"
-            );
         }
     }
 }

@@ -129,11 +129,6 @@ impl Compiler {
         self.cache_dir.join(format!("{hash:016x}.clbin"))
     }
 
-    /// Is a binary for this program already cached?
-    pub fn is_cached(&self, program: &Program) -> bool {
-        self.cache_path(program.hash()).exists()
-    }
-
     /// Remove all cached binaries (tests / cold-start experiments).
     pub fn clear_cache(&self) -> Result<()> {
         if self.cache_dir.exists() {
@@ -266,10 +261,8 @@ mod tests {
         let p = Program::from_source("k", "__kernel void k() {}");
         let profile = DriverProfile::opencl();
 
-        assert!(!c.is_cached(&p));
         let (_, o1) = c.build(&p, noop_body(), &profile).unwrap();
         assert!(!o1.from_cache);
-        assert!(c.is_cached(&p));
 
         let (_, o2) = c.build(&p, noop_body(), &profile).unwrap();
         assert!(o2.from_cache);
@@ -289,8 +282,10 @@ mod tests {
         let p1 = Program::from_source("a", "__kernel void a() {}");
         let p2 = Program::from_source("a", "__kernel void a() { /*v2*/ }");
         c.build(&p1, noop_body(), &profile).unwrap();
-        assert!(c.is_cached(&p1));
-        assert!(!c.is_cached(&p2));
+        let (_, o2) = c.build(&p2, noop_body(), &profile).unwrap();
+        assert!(!o2.from_cache, "a changed source must compile afresh");
+        let (_, o1) = c.build(&p1, noop_body(), &profile).unwrap();
+        assert!(o1.from_cache, "the first source keeps its own entry");
         c.clear_cache().unwrap();
     }
 
@@ -300,7 +295,8 @@ mod tests {
         let p = Program::from_source("k", "__global__ void k() {}");
         let (_, o) = c.build(&p, noop_body(), &DriverProfile::cuda()).unwrap();
         assert_eq!(o.virtual_s, 0.0);
-        assert!(!c.is_cached(&p), "cuda path must not populate the cache");
+        let (_, o) = c.build(&p, noop_body(), &DriverProfile::opencl()).unwrap();
+        assert!(!o.from_cache, "cuda path must not populate the cache");
         c.clear_cache().unwrap();
     }
 

@@ -371,12 +371,6 @@ impl<'a> Item<'a> {
         }
     }
 
-    /// Row-major linearised global ID.
-    #[inline]
-    pub fn global_linear(&self) -> usize {
-        self.gy * self.wg.nd.global[0] + self.gx
-    }
-
     /// Row-major linearised local ID (the lane index within the group).
     #[inline]
     pub fn local_linear(&self) -> usize {
@@ -528,12 +522,11 @@ mod tests {
                 it.global_id(1),
                 it.local_id(0),
                 it.local_id(1),
-                it.global_linear(),
             ));
         });
         assert_eq!(ids.len(), 16);
-        assert_eq!(ids[0], (4, 4, 0, 0, 36));
-        assert_eq!(ids[15], (7, 7, 3, 3, 63));
+        assert_eq!(ids[0], (4, 4, 0, 0));
+        assert_eq!(ids[15], (7, 7, 3, 3));
     }
 
     #[test]

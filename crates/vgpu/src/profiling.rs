@@ -565,13 +565,6 @@ impl Stats {
         }
     }
 
-    /// Log one scheduled command with only its occupancy interval; no-op
-    /// unless a sink is active. Convenience wrapper over
-    /// [`Stats::record_group`].
-    pub fn record_command(&self, device: DeviceId, engine: EngineKind, start_s: f64, end_s: f64) {
-        self.record_group(&[CommandRecord::interval(device, engine, start_s, end_s)]);
-    }
-
     /// Log a group of records that together describe one command (two for a
     /// cross-device copy, one otherwise). The trace lock is held across both
     /// the trace append and the observer call, so observers see complete
@@ -838,11 +831,11 @@ mod tests {
         let a = rec(0, EngineKind::Copy, 0.0, 1.0).with_seq(s.next_seq());
         let b = rec(1, EngineKind::Copy, 0.0, 1.0).with_seq(a.seq);
         s.record_group(&[a, b]);
-        s.record_command(DeviceId(0), EngineKind::Compute, 1.0, 2.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 1.0, 2.0)]);
         assert_eq!(*seen.lock(), vec![2, 1]);
         assert_eq!(s.trace_len(), 3);
         s.set_observer(None);
-        s.record_command(DeviceId(0), EngineKind::Compute, 2.0, 3.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 2.0, 3.0)]);
         assert_eq!(*seen.lock(), vec![2, 1], "removed observer sees nothing");
     }
 
@@ -877,7 +870,7 @@ mod tests {
         let s = Stats::default();
         assert_eq!(s.trace_len(), 0, "tracing disabled");
         s.enable_trace();
-        s.record_command(DeviceId(0), EngineKind::Compute, 0.0, 1.0);
+        s.record_group(&[rec(0, EngineKind::Compute, 0.0, 1.0)]);
         assert_eq!(s.trace_len(), 1);
         assert_eq!(s.take_trace().len(), 1);
         assert_eq!(s.trace_len(), 0);

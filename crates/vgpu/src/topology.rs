@@ -48,7 +48,7 @@ impl Default for Topology {
 impl Topology {
     /// Effective per-transfer bandwidth when `concurrent` transfers are in
     /// flight at once.
-    pub fn effective_bandwidth(&self, concurrent: usize) -> f64 {
+    fn effective_bandwidth(&self, concurrent: usize) -> f64 {
         debug_assert!(concurrent >= 1);
         let share = self.host_bus_bytes_s / concurrent as f64;
         self.link.bandwidth_bytes_s.min(share)
