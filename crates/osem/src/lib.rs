@@ -16,6 +16,16 @@
 //! * [`skelcl_impl`] — the SkelCL version (paper Listing 4),
 //! * [`opencl_impl`] — hand-written OpenCL, host-staged multi-GPU merging,
 //! * [`cuda_impl`] — hand-written CUDA with one host thread per device.
+//!
+//! # Reproducibility
+//!
+//! The modeled times are deterministic, but the reconstructed image is not
+//! bit-reproducible when the simulator runs work-groups on several host
+//! threads: the error-image kernel (`compute_c`) accumulates with float
+//! atomics, which commit in host-thread order, and float addition is not
+//! associative. Bit-identity checks of the image therefore pin one host
+//! thread with `VGPU_THREADS=1`; with it, the merge of the per-device error
+//! images folds in a fixed order and the image is identical run to run.
 
 pub mod cuda_impl;
 pub mod events;

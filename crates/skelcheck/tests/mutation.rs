@@ -1,12 +1,12 @@
 //! Mutation-style negative tests: hand-built timelines modelled on the
-//! three real async patterns in the codebase — the overlapped halo exchange,
-//! streamed (chunked) uploads, and the executor's cross-tenant result copy
-//! — each with its one load-bearing dependency edge either present (the
-//! detector must stay silent) or dropped (the detector must report exactly
-//! that pair, and nothing else).
+//! four real async patterns in the codebase — the overlapped halo exchange,
+//! streamed (chunked) uploads, the executor's cross-tenant result copy and
+//! the event-ordered `Copy`→`Block` merge — each with its one load-bearing
+//! dependency edge either present (the detector must stay silent) or
+//! dropped (the detector must report exactly that pair, and nothing else).
 
 use skelcheck::{find_buffer_hazards, verify_no_buffer_hazards, HazardKind};
-use vgpu::{AccessRange, BufferId, CommandRecord, DeviceId, EngineKind};
+use vgpu::{AccessRange, BufferId, CmdKind, CommandRecord, DeviceId, EngineKind};
 
 fn kernel(seq: u64, dev: usize, start: f64, end: f64) -> CommandRecord {
     CommandRecord::interval(DeviceId(dev), EngineKind::Compute, start, end).with_seq(seq)
@@ -181,6 +181,81 @@ fn dropping_the_cross_tenant_dep_reports_exactly_that_pair() {
     assert_eq!((h.first.seq, h.second.seq), (1, 2));
     assert_eq!(h.first.label, "tenant_a_job");
     assert_eq!(h.second.label, "tenant_b_upload");
+}
+
+/// `Copy`→`Block` merge with add: each device's copy was produced by a
+/// side-effect kernel; a marker joins each device once, then device 1's
+/// block is seeded from its own copy while device 0's copy of that block
+/// crosses into a temporary on device 1, and the fold kernel adds the
+/// temporary into the block. The fold must wait for the temporary's copy
+/// as well as for the seed — drop that edge and the fold may read the
+/// temporary before it landed.
+fn copy_to_block_merge(with_temp_dep: bool) -> Vec<CommandRecord> {
+    let (copy0, copy1) = (40, 41); // each device's full copy
+    let block1 = 42; // device 1's merged block: the upper half
+    let temp1 = 43; // device 0's half, staged on device 1
+    let fold_deps = if with_temp_dep { vec![5, 6] } else { vec![5] };
+    let marker = |seq, dev, t| {
+        CommandRecord::interval(DeviceId(dev), EngineKind::Compute, t, t)
+            .with_seq(seq)
+            .with_kind(CmdKind::Marker)
+            .on_stream(dev as u64)
+    };
+    vec![
+        kernel(1, 0, 0.0, 1.0)
+            .on_stream(0)
+            .with_writes(vec![whole(copy0, 8192)])
+            .with_label("produce_copy0"),
+        kernel(2, 1, 0.0, 1.0)
+            .on_stream(1)
+            .with_writes(vec![whole(copy1, 8192)])
+            .with_label("produce_copy1"),
+        marker(3, 0, 1.0),
+        marker(4, 1, 1.0),
+        // seed: device 1's own copy of its block, device-local.
+        xfer(5, 1, 1.0, 1.1)
+            .asynchronous()
+            .with_deps(vec![4])
+            .with_reads(vec![range(copy1, 4096, 8192)])
+            .with_writes(vec![whole(block1, 4096)])
+            .with_label("merge_seed"),
+        // device 0's copy of the block into the temporary (cross-device:
+        // two records, one seq), waiting for both devices' markers.
+        xfer(6, 0, 1.1, 1.5)
+            .asynchronous()
+            .with_deps(vec![3, 4])
+            .with_reads(vec![range(copy0, 4096, 8192)])
+            .with_writes(vec![whole(temp1, 4096)])
+            .with_label("merge_d2d"),
+        xfer(6, 1, 1.1, 1.5).asynchronous(),
+        // fold: block1 += temp1, on device 1's queue.
+        kernel(7, 1, 1.5, 1.6)
+            .on_stream(1)
+            .asynchronous()
+            .with_deps(fold_deps)
+            .with_reads(vec![whole(block1, 4096), whole(temp1, 4096)])
+            .with_writes(vec![whole(block1, 4096)])
+            .with_label("fold_add"),
+    ]
+}
+
+#[test]
+fn merge_with_temp_dep_is_clean() {
+    assert_eq!(verify_no_buffer_hazards(&copy_to_block_merge(true)), None);
+}
+
+#[test]
+fn dropping_the_merge_temp_dep_reports_exactly_that_pair() {
+    let hazards = find_buffer_hazards(&copy_to_block_merge(false));
+    assert_eq!(hazards.len(), 1, "{hazards:?}");
+    let h = &hazards[0];
+    assert_eq!(h.kind, HazardKind::Raw);
+    assert_eq!(h.buffer, BufferId(43));
+    assert_eq!((h.first.seq, h.second.seq), (6, 7));
+    assert_eq!(h.first.label, "merge_d2d");
+    assert_eq!(h.second.label, "fold_add");
+    // the seed's edge still orders the block itself.
+    assert_eq!((h.lo, h.hi), (0, 4096));
 }
 
 /// The verify wrapper's report must carry enough to debug from: kind,

@@ -906,10 +906,37 @@ fn fill_span_row_from_owners<T: Scalar>(
     Ok(())
 }
 
-/// Copy a run of global rows from their owners into destination part
+/// The owner copies that fill a run of global rows of destination part
 /// `dst`: `run` is `(span_row_start, global_row_start, n_rows)`, as
-/// produced by [`span_runs`] / [`halo_runs`]. Returns the number of
-/// cross-device transfers issued.
+/// produced by [`span_runs`] / [`halo_runs`]. One `(src, src_span_row,
+/// dst_span_row, n_rows)` per contiguous owner run. An identity copy (same
+/// allocation, same span position) is a no-op and is skipped; a same-buffer
+/// copy at a *different* span position is real — that is how single-device
+/// wrap halos are filled from the owned rows.
+fn owner_row_copies<'a, T: Scalar>(
+    parts: &'a [MatrixPart<T>],
+    dst: &MatrixPart<T>,
+    run: (usize, usize, usize),
+) -> Vec<(&'a MatrixPart<T>, usize, usize, usize)> {
+    let (mut s, mut g, mut len) = run;
+    let mut copies = Vec::new();
+    while len > 0 {
+        let src = owner_of_row(parts, g, dst.device);
+        let src_span_row = src.halo_above + (g - src.row_offset);
+        let rows = len.min(src.row_offset + src.rows - g);
+        if !(src.buffer.same_allocation(&dst.buffer) && src_span_row == s) {
+            copies.push((src, src_span_row, s, rows));
+        }
+        s += rows;
+        g += rows;
+        len -= rows;
+    }
+    copies
+}
+
+/// Copy a run of global rows from their owners into destination part
+/// `dst` ([`owner_row_copies`]), charging each cross-device copy
+/// `concurrent`-way host-bus contention.
 ///
 /// With `overlap = Some((deps_by_device, out_events))` the copies are
 /// issued **asynchronously on the copy engines**: each copy waits for the
@@ -925,46 +952,29 @@ fn fill_rows_from_owners<T: Scalar>(
     cols: usize,
     concurrent: usize,
     mut overlap: Option<(&[Vec<Event>], &mut Vec<Event>)>,
-) -> Result<usize> {
-    let (mut s, mut g, mut len) = run;
-    let mut cross = 0usize;
-    while len > 0 {
-        let src = owner_of_row(parts, g, dst.device);
-        let src_span_row = src.halo_above + (g - src.row_offset);
-        let run = len.min(src.row_offset + src.rows - g);
-        // An identity copy (same allocation, same span position) is a
-        // no-op; a same-buffer copy at a *different* span position is real
-        // — that is how single-device wrap halos are filled from the owned
-        // rows.
-        if !(src.buffer.same_allocation(&dst.buffer) && src_span_row == s) {
+) -> Result<()> {
+    for (src, src_span_row, s, rows) in owner_row_copies(parts, dst, run) {
+        let deps: Option<Vec<Event>> = overlap.as_ref().map(|(deps_by_device, _)| {
+            let mut deps = deps_by_device[src.device].clone();
             if src.device != dst.device {
-                cross += 1;
+                deps.extend_from_slice(&deps_by_device[dst.device]);
             }
-            let deps: Option<Vec<Event>> = overlap.as_ref().map(|(deps_by_device, _)| {
-                let mut deps = deps_by_device[src.device].clone();
-                if src.device != dst.device {
-                    deps.extend_from_slice(&deps_by_device[dst.device]);
-                }
-                deps
-            });
-            let ev = ctx.platform().copy(
-                &src.buffer,
-                src_span_row * cols,
-                &dst.buffer,
-                s * cols,
-                run * cols,
-                concurrent,
-                deps.as_deref().map_or(After::Device, After::Events),
-            )?;
-            if let Some((_, out_events)) = overlap.as_mut() {
-                out_events.push(ev);
-            }
+            deps
+        });
+        let ev = ctx.platform().copy(
+            &src.buffer,
+            src_span_row * cols,
+            &dst.buffer,
+            s * cols,
+            rows * cols,
+            concurrent,
+            deps.as_deref().map_or(After::Device, After::Events),
+        )?;
+        if let Some((_, out_events)) = overlap.as_mut() {
+            out_events.push(ev);
         }
-        s += run;
-        g += run;
-        len -= run;
     }
-    Ok(cross)
+    Ok(())
 }
 
 /// Refresh halo rows from their owners (device-to-device).
@@ -1111,22 +1121,32 @@ where
     if let Some(combine) = combine {
         merge_copy_to(ctx, st, &new_parts, combine)?;
     } else if cols > 0 {
-        // Transfers chain per destination device, so at most ~one per
-        // device is in flight at any instant.
-        let concurrent = ctx.n_devices().max(1);
-        let row_based = st.dist.is_full_width() && new_dist.is_full_width();
-        for np in &new_parts {
-            if np.rows == 0 || np.cols == 0 {
-                continue;
-            }
-            if row_based {
-                // Full-width parts on both sides: batch contiguous rows.
+        let live = new_parts.iter().filter(|np| np.rows > 0 && np.cols > 0);
+        if st.dist.is_full_width() && new_dist.is_full_width() {
+            // Full-width parts on both sides: one planned copy per
+            // contiguous run of rows with a single owner.
+            let mut plan = Vec::new();
+            for np in live {
                 for run in span_runs(np, n_rows) {
-                    fill_rows_from_owners(ctx, &st.parts, np, run, cols, concurrent, None)?;
+                    for (src, src_row, s, rows) in owner_row_copies(&st.parts, np, run) {
+                        plan.push(PlannedCopy {
+                            src: src.buffer.clone(),
+                            src_off: src_row * cols,
+                            dst: np.buffer.clone(),
+                            dst_off: s * cols,
+                            len: rows * cols,
+                        });
+                    }
                 }
-            } else {
-                // A column boundary is involved: copy row by row, splitting
-                // each row at owner column boundaries (strided transfers).
+            }
+            issue_copies(ctx, &plan)?;
+        } else {
+            // A column boundary is involved: copy row by row, splitting
+            // each row at owner column boundaries (strided transfers).
+            // These copies are not planned: each is device-serializing and
+            // charged every device's worth of contention.
+            let concurrent = ctx.n_devices().max(1);
+            for np in live {
                 for s in 0..np.span_rows() {
                     let g = np.global_row(s, n_rows);
                     fill_span_row_from_owners(ctx, &st.parts, np, s, g, concurrent)?;
@@ -1143,9 +1163,113 @@ where
     Ok(())
 }
 
+/// One copy of a planned redistribution: `len` elements from `src` at
+/// `src_off` into `dst` at `dst_off`.
+struct PlannedCopy<T: Scalar> {
+    src: Buffer<T>,
+    src_off: usize,
+    dst: Buffer<T>,
+    dst_off: usize,
+    len: usize,
+}
+
+/// Issue a redistribution's planned copies on the copy engines and return
+/// their events, in plan order.
+///
+/// Each involved device is joined once with a marker, and every copy waits
+/// for exactly its source's and destination's markers — not for whole
+/// devices — so independent copies overlap. Same-device copies go first;
+/// the cross-device ones follow in rounds of disjoint device pairs
+/// ([`pair_rounds`]). Within a pair the lower device's copies go first, in
+/// plan order: a merge folds its sources in ascending device order, so the
+/// copy a fold chain needs first tends to land first. A cross-device copy
+/// holds both devices' copy engines, so at most ⌊n/2⌋ are ever in flight:
+/// every copy is charged that much host-bus contention, or the number of
+/// cross-device copies in the plan if that is smaller.
+fn issue_copies<T: Scalar>(ctx: &Context, plan: &[PlannedCopy<T>]) -> Result<Vec<Event>> {
+    let n = ctx.n_devices();
+    let devices = |i: usize| (plan[i].src.device().0, plan[i].dst.device().0);
+    let mut order: Vec<usize> = (0..plan.len())
+        .filter(|&i| devices(i).0 == devices(i).1)
+        .collect();
+    let concurrent = (plan.len() - order.len()).min((n / 2).max(1));
+    for (lo, hi) in pair_rounds(n).into_iter().flatten() {
+        for dir in [(lo, hi), (hi, lo)] {
+            order.extend((0..plan.len()).filter(|&i| devices(i) == dir));
+        }
+    }
+
+    let mut markers: Vec<Option<Event>> = vec![None; n];
+    let mut events: Vec<Option<Event>> = vec![None; plan.len()];
+    for i in order {
+        let (s, d) = devices(i);
+        let mut join = |dev: usize| {
+            markers[dev]
+                .get_or_insert_with(|| ctx.queue(dev).enqueue_marker())
+                .clone()
+        };
+        let deps = if s == d {
+            vec![join(s)]
+        } else {
+            vec![join(s), join(d)]
+        };
+        let c = &plan[i];
+        events[i] = Some(ctx.platform().copy(
+            &c.src,
+            c.src_off,
+            &c.dst,
+            c.dst_off,
+            c.len,
+            concurrent,
+            After::Events(&deps),
+        )?);
+    }
+    Ok(events
+        .into_iter()
+        .map(|e| e.expect("every planned copy is issued"))
+        .collect())
+}
+
+/// Rounds of disjoint device pairs `(lo, hi)`, `lo < hi`, that together
+/// cover every pair of `n` devices exactly once: XOR pairing (`d ↔ d ^ r`)
+/// when `n` is a power of two, else the circle method over an even number
+/// of seats, where the device seated against the phantom seat `n` (odd `n`)
+/// sits the round out.
+fn pair_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
+    if n < 2 {
+        return Vec::new();
+    }
+    if n.is_power_of_two() {
+        return (1..n)
+            .map(|r| (0..n).filter(|&d| d < d ^ r).map(|d| (d, d ^ r)).collect())
+            .collect();
+    }
+    let m = n + n % 2;
+    let ring = m - 1;
+    (0..ring)
+        .map(|r| {
+            let mut pairs = vec![(r, ring)];
+            pairs.extend((1..m / 2).map(|k| ((r + k) % ring, (r + ring - k) % ring)));
+            pairs.retain(|&(a, b)| a < n && b < n);
+            pairs
+                .into_iter()
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect()
+        })
+        .collect()
+}
+
 /// Copy→(target) with element-wise combining of the diverged per-device
 /// copies (the OSEM error-image merge). Only halo-free full-width targets
 /// (a vector's `Single`/`Block`) are ever merged into.
+///
+/// Each target range is seeded with its own device's copy, and every other
+/// device's copy lands in a temporary on the target device; all of these
+/// copies run as one plan ([`issue_copies`]). The fold kernels then run on
+/// the target's queue, each waiting only for the previous fold (or the
+/// seed) and its own temporary's copy. The fold order — own copy first,
+/// then ascending source device — is fixed, so the merged values do not
+/// depend on when the copies land.
 fn merge_copy_to<T: Scalar, F>(
     ctx: &Context,
     st: &State<T>,
@@ -1155,11 +1279,6 @@ fn merge_copy_to<T: Scalar, F>(
 where
     F: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
-    // Each destination folds its sources sequentially; ~n_devices
-    // transfers are in flight at once.
-    let n = ctx.n_devices();
-    let cross = n.max(1);
-
     let program = codegen::zip_program(
         combine.name(),
         combine.source(),
@@ -1171,30 +1290,49 @@ where
     let compiled = ctx.get_or_build(&program)?;
     let static_ops = combine.static_ops();
 
+    // Per target part: its seed copy's plan index and its temporaries'.
+    let mut plan = Vec::new();
+    let mut folds = Vec::new();
     for np in new_parts {
         debug_assert!(np.halo_above + np.halo_below == 0 && np.cols == st.cols);
         let (offset, len) = (np.row_offset * st.cols, np.rows * st.cols);
         if len == 0 {
             continue;
         }
-        // Seed with the destination device's own copy (device-local).
         let own = st
             .parts
             .iter()
             .find(|p| p.device == np.device)
             .ok_or_else(|| Error::NotOnDevice("copy distribution missing a device".into()))?;
-        ctx.platform()
-            .copy(&own.buffer, offset, &np.buffer, 0, len, 1, After::Device)?;
-
-        // Fold in every other device's copy of this range.
+        let seed = plan.len();
+        plan.push(PlannedCopy {
+            src: own.buffer.clone(),
+            src_off: offset,
+            dst: np.buffer.clone(),
+            dst_off: 0,
+            len,
+        });
+        let mut temps = Vec::new();
         for op in st.parts.iter().filter(|p| p.device != np.device) {
-            let tmp = ctx.device(np.device).alloc::<T>(len)?;
-            ctx.platform()
-                .copy(&op.buffer, offset, &tmp, 0, len, cross, After::Device)?;
+            temps.push(plan.len());
+            plan.push(PlannedCopy {
+                src: op.buffer.clone(),
+                src_off: offset,
+                dst: ctx.device(np.device).alloc::<T>(len)?,
+                dst_off: 0,
+                len,
+            });
+        }
+        folds.push((np, len, seed, temps));
+    }
+    let copied = issue_copies(ctx, &plan)?;
 
+    for (np, len, seed, temps) in folds {
+        let mut last = copied[seed].clone();
+        for i in temps {
             let f = combine.func().clone();
             let dst = np.buffer.clone();
-            let src = tmp.clone();
+            let src = plan[i].dst.clone();
             let body: KernelBody = Arc::new(move |wg| {
                 wg.for_each_item(|it| {
                     if !it.in_bounds() {
@@ -1209,10 +1347,10 @@ where
                 });
             });
             let kernel = compiled.with_body(body);
-            ctx.queue(np.device).launch(
+            last = ctx.queue(np.device).launch(
                 &kernel,
                 NDRange::linear(len, ctx.work_group().min(len)),
-                After::Device,
+                After::Events(&[last, copied[i].clone()]),
             )?;
         }
     }
@@ -1251,6 +1389,31 @@ mod tests {
             }
             assert_eq!(off, len);
         }
+    }
+
+    #[test]
+    fn pair_rounds_cover_every_pair_once_in_disjoint_rounds() {
+        for n in 0..=9 {
+            let rounds = pair_rounds(n);
+            assert_eq!(rounds.len(), if n < 2 { 0 } else { n - 1 + n % 2 }, "n={n}");
+            let mut seen = std::collections::HashSet::new();
+            for round in &rounds {
+                let mut busy = vec![false; n];
+                for &(a, b) in round {
+                    assert!(a < b && b < n, "n={n}: bad pair ({a}, {b})");
+                    assert!(!busy[a] && !busy[b], "n={n}: device reused in {round:?}");
+                    busy[a] = true;
+                    busy[b] = true;
+                    assert!(seen.insert((a, b)), "n={n}: ({a}, {b}) twice");
+                }
+                assert!(
+                    round.len() >= n / 2,
+                    "n={n}: round {round:?} leaves pairs idle"
+                );
+            }
+            assert_eq!(seen.len(), n * n.saturating_sub(1) / 2, "n={n}");
+        }
+        assert_eq!(pair_rounds(4)[0], vec![(0, 1), (2, 3)]);
     }
 
     #[test]

@@ -247,14 +247,14 @@ const EXPECTED: &[&str] = &[
     "4dev copy map read_back_async ready=3f984fe5cca030d6: h2d=0/0 d2h=1/4004 d2d=0/0 k=4/1024/32032/114204 build=0/0/0 host=3f984597066cefdc out=62fd70a98435ba3f",
     "4dev single(2) map to_vec: h2d=0/0 d2h=1/4004 d2d=0/0 k=1/256/8008/28551 build=0/0/0 host=3f985761cfa2851e out=62fd70a98435ba3f",
     "4dev modified streamed map to_vec: h2d=0/0 d2h=4/4004 d2d=0/0 k=4/512/8008/111801 build=0/0/0 host=3f98616e8f7ca121 out=62fd70a98435ba3f",
-    "4dev block->copy: h2d=0/0 d2h=0/0 d2d=12/12012 k=4/512/8008/111801 build=0/0/0 host=3f98a4dc762433e2 out=0000000000000000",
-    "4dev block->copy to_vec: h2d=0/0 d2h=1/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3f98a7af39552094 out=62fd70a98435ba3f",
-    "4dev copy->block: h2d=0/0 d2h=0/0 d2d=0/0 k=4/1024/32032/114204 build=0/0/0 host=3f98af38b60f3227 out=0000000000000000",
-    "4dev copy->block to_vec: h2d=0/0 d2h=4/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3f98b1f1b6d2e1fd out=62fd70a98435ba3f",
-    "4dev copy->block add: h2d=0/0 d2h=0/0 d2d=12/12012 k=16/1792/68068/453807 build=1/0/150630000 host=3fc67bf799c42274 out=0000000000000000",
-    "4dev copy->block add to_vec: h2d=0/0 d2h=4/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3fc67c4eb9dc986f out=a50e3a091635ba3f",
-    "4dev reduce_cols: h2d=4/4000 d2h=0/0 d2d=3/300 k=4/280/4700/116470 build=1/0/151104000 host=3fd4f065323bf106 out=0000000000000000",
-    "4dev reduce_cols single to_vec: h2d=0/0 d2h=1/100 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3fd4f39f6dcf62c7 out=e284aed9d3a0997f",
+    "4dev block->copy: h2d=0/0 d2h=0/0 d2d=12/12012 k=4/512/8008/111801 build=0/0/0 host=3f9888e005bce715 out=0000000000000000",
+    "4dev block->copy to_vec: h2d=0/0 d2h=1/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3f988bb2c8edd3c7 out=62fd70a98435ba3f",
+    "4dev copy->block: h2d=0/0 d2h=0/0 d2d=0/0 k=4/1024/32032/114204 build=0/0/0 host=3f98933c45a7e55a out=0000000000000000",
+    "4dev copy->block to_vec: h2d=0/0 d2h=4/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3f9895f5466b9530 out=62fd70a98435ba3f",
+    "4dev copy->block add: h2d=0/0 d2h=0/0 d2d=12/12012 k=16/1792/68068/453807 build=1/0/150630000 host=3fc66dd3057c2ee4 out=0000000000000000",
+    "4dev copy->block add to_vec: h2d=0/0 d2h=4/4004 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3fc66e2a2594a4df out=a50e3a091635ba3f",
+    "4dev reduce_cols: h2d=4/4000 d2h=0/0 d2d=3/300 k=4/280/4700/116470 build=1/0/151104000 host=3fd4e952e817f73e out=0000000000000000",
+    "4dev reduce_cols single to_vec: h2d=0/0 d2h=1/100 d2d=0/0 k=0/0/0/0 build=0/0/0 host=3fd4ec8d23ab68ff out=e284aed9d3a0997f",
     "4dev single(0)->block: h2d=1/4004 d2h=4/4004 d2d=3/3000 out=62fd70a98435ba3f",
     "4dev block->single(3): h2d=0/0 d2h=1/4004 d2d=3/3004 out=62fd70a98435ba3f",
     "4dev single(3)->copy: h2d=0/0 d2h=1/4004 d2d=3/12012 out=62fd70a98435ba3f",

@@ -224,10 +224,11 @@ impl Platform {
     /// is a local copy costing global-memory bandwidth (read + write) and no
     /// PCIe traffic. Between devices it stages through the host, as the
     /// S1070 requires (no peer-to-peer), and occupies both devices' copy
-    /// engines for the full duration; `concurrent` is the number of
-    /// transfers sharing the host bus at this moment — redistribution
-    /// phases pass the size of their transfer batch so contention is
-    /// modeled (paper Section III-D).
+    /// engines for the full duration; `concurrent` is the most transfers
+    /// that can be in flight on the host bus at once alongside this one —
+    /// not the size of the batch it belongs to. Since a cross-device copy
+    /// holds two copy engines, a batch over `n` devices has at most `⌊n/2⌋`
+    /// in flight (paper Section III-D).
     ///
     /// Under [`After::Events`] callers are responsible for passing the
     /// events that produced the source region (and, if the destination is
