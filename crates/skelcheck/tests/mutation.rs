@@ -1,7 +1,8 @@
 //! Mutation-style negative tests: hand-built timelines modelled on the
-//! four real async patterns in the codebase — the overlapped halo exchange,
-//! streamed (chunked) uploads, the executor's cross-tenant result copy and
-//! the event-ordered `Copy`→`Block` merge — each with its one load-bearing
+//! five real async patterns in the codebase — the overlapped halo exchange,
+//! streamed (chunked) uploads, the executor's cross-tenant result copy, the
+//! event-ordered `Copy`→`Block` merge and the pipeline stencil group's
+//! interior/boundary split — each with its one load-bearing
 //! dependency edge either present (the detector must stay silent) or
 //! dropped (the detector must report exactly that pair, and nothing else).
 
@@ -256,6 +257,82 @@ fn dropping_the_merge_temp_dep_reports_exactly_that_pair() {
     assert_eq!(h.second.label, "fold_add");
     // the seed's edge still orders the block itself.
     assert_eq!((h.lo, h.hi), (0, 4096));
+}
+
+/// Pipeline stencil group split: the previous group's kernels wrote each
+/// device's owned rows; a marker joins each device, and a lock-step halo
+/// copy moves device 0's last owned row into device 1's upper halo row.
+/// Device 1 launches its interior first, ordered only on its marker (it
+/// reads no halo row), then its boundary bands, which read the halo and
+/// must wait for the copy's event — drop that edge and the boundary may
+/// read the halo row before it landed.
+fn pipeline_group_split(with_halo_dep: bool) -> Vec<CommandRecord> {
+    let (ext0, ext1) = (50, 51); // halo-extended inputs: 64 B halo rows
+    let out1 = 52;
+    let boundary_deps = if with_halo_dep { vec![5] } else { vec![] };
+    let marker = |seq, dev, t| {
+        CommandRecord::interval(DeviceId(dev), EngineKind::Compute, t, t)
+            .with_seq(seq)
+            .with_kind(CmdKind::Marker)
+            .on_stream(dev as u64)
+    };
+    vec![
+        kernel(1, 0, 0.0, 1.0)
+            .on_stream(0)
+            .asynchronous()
+            .with_writes(vec![range(ext0, 64, 4160)])
+            .with_label("produce_part0"),
+        kernel(2, 1, 0.0, 1.0)
+            .on_stream(1)
+            .asynchronous()
+            .with_writes(vec![range(ext1, 64, 4160)])
+            .with_label("produce_part1"),
+        marker(3, 0, 1.0),
+        marker(4, 1, 1.0),
+        // device 0's last owned row into device 1's upper halo row.
+        xfer(5, 0, 1.0, 1.2)
+            .asynchronous()
+            .with_deps(vec![3, 4])
+            .with_reads(vec![range(ext0, 4096, 4160)])
+            .with_writes(vec![range(ext1, 0, 64)])
+            .with_label("halo_d2d"),
+        xfer(5, 1, 1.0, 1.2).asynchronous(),
+        // interior: owned rows away from the bands, under the copy.
+        kernel(6, 1, 1.0, 1.8)
+            .on_stream(1)
+            .asynchronous()
+            .with_deps(vec![4])
+            .with_reads(vec![range(ext1, 64, 4160)])
+            .with_writes(vec![range(out1, 128, 4096)])
+            .with_label("stencil_interior"),
+        // boundary: the top and bottom bands, reading both halo rows.
+        kernel(7, 1, 1.8, 2.0)
+            .on_stream(1)
+            .asynchronous()
+            .with_deps(boundary_deps)
+            .with_reads(vec![whole(ext1, 4224)])
+            .with_writes(vec![range(out1, 64, 4160)])
+            .with_label("stencil_boundary"),
+    ]
+}
+
+#[test]
+fn pipeline_split_with_halo_dep_is_clean() {
+    assert_eq!(verify_no_buffer_hazards(&pipeline_group_split(true)), None);
+}
+
+#[test]
+fn dropping_the_boundary_halo_dep_reports_exactly_that_pair() {
+    let hazards = find_buffer_hazards(&pipeline_group_split(false));
+    assert_eq!(hazards.len(), 1, "{hazards:?}");
+    let h = &hazards[0];
+    assert_eq!(h.kind, HazardKind::Raw);
+    assert_eq!(h.buffer, BufferId(51));
+    assert_eq!((h.first.seq, h.second.seq), (5, 7));
+    assert_eq!(h.first.label, "halo_d2d");
+    assert_eq!(h.second.label, "stencil_boundary");
+    // only the halo row the copy wrote: the interior never reads it.
+    assert_eq!((h.lo, h.hi), (0, 64));
 }
 
 /// The verify wrapper's report must carry enough to debug from: kind,

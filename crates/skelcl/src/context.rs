@@ -396,8 +396,9 @@ impl Context {
         self.inner.halo_exchanges.get()
     }
 
-    /// Record one halo-exchange event (called by the matrix exchange path
-    /// and by `Stencil2D::iterate`'s batched per-iteration exchange).
+    /// Record one halo-exchange event (called by the one halo exchange
+    /// path in `matrix.rs`, whoever drives it: a matrix, `Stencil2D::iterate`
+    /// or a pipeline stencil group).
     pub(crate) fn note_halo_exchange(&self) {
         self.inner.halo_exchanges.inc();
     }

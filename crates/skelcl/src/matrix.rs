@@ -17,6 +17,14 @@
 //! the transfers show up in the platform's [`vgpu::StatsSnapshot`]
 //! accounting like every other copy.
 //!
+//! Every device-to-device copy here — a redistribution, the `Copy` merge,
+//! a halo exchange — is built as one list of planned copies and issued by
+//! one planner (`issue_copies`): copies wait for events, not whole
+//! devices; lock-step plans run their cross-device copies in rounds of
+//! disjoint device pairs; and each copy is charged the host-bus contention
+//! of the at most ⌊n/2⌋ cross-device copies that can be in flight, since
+//! each holds two copy engines.
+//!
 //! Halo rows wrap around the matrix edges (row `-1` is the last row), which
 //! makes every part's halo well-defined regardless of position and lets the
 //! `Wrap` boundary mode of [`crate::Stencil2D`] work across devices;
@@ -26,7 +34,8 @@
 //! owns all rows of a contiguous column block. Host↔device transfers are
 //! strided (one per row — each row's column slice is contiguous, the rows
 //! are not), and redistribution between row- and column-based layouts
-//! splits every row at owner column boundaries, entirely device-to-device.
+//! splits every row at owner column boundaries, entirely device-to-device
+//! (one planned copy per row segment).
 //! Column blocks feed the [`crate::AllPairs`] skeleton's `B` operand
 //! (matrix multiplication, pairwise distances).
 
@@ -870,40 +879,34 @@ fn owner_of_cell<T: Scalar>(
         .expect("matrix cell not owned by any part")
 }
 
-/// Copy one span row of destination part `dst` (span row `s`, holding
-/// global row `g`) from the owning parts, splitting the part's column range
-/// at owner boundaries. The column-aware twin of [`fill_rows_from_owners`],
-/// used whenever either side of a redistribution is not full-width.
-fn fill_span_row_from_owners<T: Scalar>(
-    ctx: &Context,
+/// The owner copies that fill span row `s` (holding global row `g`) of
+/// destination part `dst`, split at the owners' column boundaries: one
+/// strided row segment per owner, appended to `plan`. The column-aware
+/// twin of [`owner_row_copies`], used whenever either side of a
+/// redistribution is not full-width (`dst` is always a fresh allocation,
+/// so no segment is an identity copy).
+fn owner_cell_copies<T: Scalar>(
     parts: &[MatrixPart<T>],
     dst: &MatrixPart<T>,
     s: usize,
     g: usize,
-    concurrent: usize,
-) -> Result<()> {
+    plan: &mut Vec<PlannedCopy<T>>,
+) {
     let mut c = dst.col_offset;
     let end = dst.col_offset + dst.cols;
     while c < end {
         let src = owner_of_cell(parts, g, c, dst.device);
         let src_span_row = src.halo_above + (g - src.row_offset);
         let w = end.min(src.col_offset + src.cols) - c;
-        let src_off = src_span_row * src.cols + (c - src.col_offset);
-        let dst_off = s * dst.cols + (c - dst.col_offset);
-        if !(src.buffer.same_allocation(&dst.buffer) && src_off == dst_off) {
-            ctx.platform().copy(
-                &src.buffer,
-                src_off,
-                &dst.buffer,
-                dst_off,
-                w,
-                concurrent,
-                After::Device,
-            )?;
-        }
+        plan.push(PlannedCopy {
+            src: src.buffer.clone(),
+            src_off: src_span_row * src.cols + (c - src.col_offset),
+            dst: dst.buffer.clone(),
+            dst_off: s * dst.cols + (c - dst.col_offset),
+            len: w,
+        });
         c += w;
     }
-    Ok(())
 }
 
 /// The owner copies that fill a run of global rows of destination part
@@ -934,141 +937,95 @@ fn owner_row_copies<'a, T: Scalar>(
     copies
 }
 
-/// Copy a run of global rows from their owners into destination part
-/// `dst` ([`owner_row_copies`]), charging each cross-device copy
-/// `concurrent`-way host-bus contention.
-///
-/// With `overlap = Some((deps_by_device, out_events))` the copies are
-/// issued **asynchronously on the copy engines**: each copy waits for the
-/// producer events of its source *and* destination devices (the
-/// destination's events also fence the write-after-read hazard against the
-/// previous round's readers of the halo region) and its event is appended
-/// to `out_events`. With `None`, the copies are device-serializing.
-fn fill_rows_from_owners<T: Scalar>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    dst: &MatrixPart<T>,
-    run: (usize, usize, usize),
-    cols: usize,
-    concurrent: usize,
-    mut overlap: Option<(&[Vec<Event>], &mut Vec<Event>)>,
-) -> Result<()> {
-    for (src, src_span_row, s, rows) in owner_row_copies(parts, dst, run) {
-        let deps: Option<Vec<Event>> = overlap.as_ref().map(|(deps_by_device, _)| {
-            let mut deps = deps_by_device[src.device].clone();
-            if src.device != dst.device {
-                deps.extend_from_slice(&deps_by_device[dst.device]);
-            }
-            deps
-        });
-        let ev = ctx.platform().copy(
-            &src.buffer,
-            src_span_row * cols,
-            &dst.buffer,
-            s * cols,
-            rows * cols,
-            concurrent,
-            deps.as_deref().map_or(After::Device, After::Events),
-        )?;
-        if let Some((_, out_events)) = overlap.as_mut() {
-            out_events.push(ev);
-        }
-    }
-    Ok(())
-}
-
-/// Refresh halo rows from their owners (device-to-device).
+/// Refresh halo rows from their owners (device-to-device), in lock-step.
 fn halo_exchange<T: Scalar>(ctx: &Context, st: &mut State<T>) -> Result<()> {
     if st.halos_fresh || !st.device_fresh || st.cols == 0 {
         return Ok(());
     }
-    if exchange_part_halos(ctx, &st.parts, st.rows, st.cols, false)? {
-        ctx.note_halo_exchange();
-    }
+    exchange_part_halos(ctx, &st.parts, st.rows, st.cols, false, CopyOrder::Rounds)?;
     ctx.sync();
     st.halos_fresh = true;
     Ok(())
 }
 
+/// An issued halo exchange: per part, the events of the copies that wrote
+/// into its halo rows (the dependency list of a launch reading them), and
+/// per device the marker a lock-step exchange joined it with.
+pub(crate) struct HaloCopies {
+    pub into_part: Vec<Vec<Event>>,
+    pub markers: Vec<Option<Event>>,
+}
+
 /// Refresh every part's halo rows from the rows' owning parts — the
 /// matrix-independent core of [`Matrix::halo_exchange`], also driven
 /// directly by `Stencil2D::iterate` on its device-private ping-pong part
-/// sets. With `skip_wrapped` the halo runs whose global rows wrap around
-/// the matrix edge are left untouched: only the `Wrap` boundary mode ever
-/// reads them, so a stencil that knows its boundary is `Neumann`/`Zero`
-/// can batch a strictly smaller exchange. Returns whether any halo rows
-/// were actually refreshed (one exchange *event*), so callers can count
-/// events without counting no-ops — a round where every run is skipped
-/// is a no-op.
+/// sets and by the pipeline's stencil groups. The exchange is one copy
+/// plan, one copy per contiguous owner run of a halo run, issued through
+/// [`issue_copies`] under `order`: [`CopyOrder::Rounds`] after
+/// device-serializing work, [`CopyOrder::Producers`] under the overlapped
+/// iterate's per-device producer events (the plan's ascending-part order
+/// then lets the devices settle into a phase-shifted wavefront). With
+/// `skip_wrapped` the halo runs whose global rows wrap around the matrix
+/// edge are left untouched: only the `Wrap` boundary mode ever reads
+/// them, so a stencil that knows its boundary is `Neumann`/`Zero` can
+/// batch a strictly smaller exchange. An exchange that refreshes any row
+/// counts as one exchange event ([`Context::halo_exchange_count`]); one
+/// where every run is skipped is a no-op and is not counted.
 pub(crate) fn exchange_part_halos<T: Scalar>(
     ctx: &Context,
     parts: &[MatrixPart<T>],
     n_rows: usize,
     cols: usize,
     skip_wrapped: bool,
-) -> Result<bool> {
-    Ok(exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, None)?.0)
-}
-
-/// The overlapped twin of [`exchange_part_halos`]: every copy is issued
-/// **asynchronously on the copy engines**, waiting only for the producer
-/// events in `deps_by_device` (per source/destination device), so the whole
-/// exchange runs underneath unrelated kernels. Returns whether anything was
-/// refreshed (one exchange *event*, counted by the caller exactly like the
-/// serial exchange — issuing on the copy stream must not change the count)
-/// and, per part, the copy events that wrote into that part's halos — the
-/// dependency list of the next boundary launch reading them.
-pub(crate) fn exchange_part_halos_overlapped<T: Scalar>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    n_rows: usize,
-    cols: usize,
-    skip_wrapped: bool,
-    deps_by_device: &[Vec<Event>],
-) -> Result<(bool, Vec<Vec<Event>>)> {
-    exchange_part_halos_impl(ctx, parts, n_rows, cols, skip_wrapped, Some(deps_by_device))
-}
-
-fn exchange_part_halos_impl<T: Scalar>(
-    ctx: &Context,
-    parts: &[MatrixPart<T>],
-    n_rows: usize,
-    cols: usize,
-    skip_wrapped: bool,
-    deps_by_device: Option<&[Vec<Event>]>,
-) -> Result<(bool, Vec<Vec<Event>>)> {
-    let mut events: Vec<Vec<Event>> = vec![Vec::new(); parts.len()];
+    order: CopyOrder<'_>,
+) -> Result<HaloCopies> {
+    let mut into_part = vec![Vec::new(); parts.len()];
     if cols == 0 {
-        return Ok((false, events));
+        return Ok(HaloCopies {
+            into_part,
+            markers: vec![None; ctx.n_devices()],
+        });
     }
     let mut span = ctx.span("halo.exchange");
     span.attr("shape", format!("{n_rows}x{cols}"));
-    span.attr("overlapped", deps_by_device.is_some().to_string());
+    span.attr(
+        "overlapped",
+        matches!(order, CopyOrder::Producers(_)).to_string(),
+    );
     span.attr("devices", ctx.n_devices().to_string());
-    // Every halo row crosses a device boundary (its owner is a neighbour),
-    // so the batch size is roughly two transfers per part.
-    let concurrent = (2 * parts.len()).min(2 * ctx.n_devices()).max(1);
-    let mut exchanged = false;
-    for (i, p) in parts.iter().enumerate() {
-        if p.rows == 0 {
-            continue;
-        }
+    // One copy per contiguous owner run of each halo run; `into[k]` is the
+    // part copy `k` writes into.
+    let (mut plan, mut into) = (Vec::new(), Vec::new());
+    for (i, p) in parts.iter().enumerate().filter(|(_, p)| p.rows > 0) {
         for above in [true, false] {
-            let halo = if above { p.halo_above } else { p.halo_below };
-            if halo == 0 {
-                continue;
-            }
             for run in halo_runs(p, n_rows, above) {
                 if skip_wrapped && run_is_wrapped(p, run, n_rows) {
                     continue;
                 }
-                exchanged = true;
-                let overlap = deps_by_device.map(|deps| (deps, &mut events[i]));
-                fill_rows_from_owners(ctx, parts, p, run, cols, concurrent, overlap)?;
+                for (src, src_row, s, rows) in owner_row_copies(parts, p, run) {
+                    plan.push(PlannedCopy {
+                        src: src.buffer.clone(),
+                        src_off: src_row * cols,
+                        dst: p.buffer.clone(),
+                        dst_off: s * cols,
+                        len: rows * cols,
+                    });
+                    into.push(i);
+                }
             }
         }
     }
-    Ok((exchanged, events))
+    if !plan.is_empty() {
+        ctx.note_halo_exchange();
+    }
+    let issued = issue_copies(ctx, &plan, order)?;
+    for (ev, i) in issued.copies.into_iter().zip(into) {
+        into_part[i].push(ev);
+    }
+    Ok(HaloCopies {
+        into_part,
+        markers: issued.markers,
+    })
 }
 
 /// Does this halo run (as produced by [`halo_runs`]) hold rows that wrap
@@ -1121,12 +1078,13 @@ where
     if let Some(combine) = combine {
         merge_copy_to(ctx, st, &new_parts, combine)?;
     } else if cols > 0 {
-        let live = new_parts.iter().filter(|np| np.rows > 0 && np.cols > 0);
-        if st.dist.is_full_width() && new_dist.is_full_width() {
-            // Full-width parts on both sides: one planned copy per
-            // contiguous run of rows with a single owner.
-            let mut plan = Vec::new();
-            for np in live {
+        // One planned copy per contiguous run of rows with a single owner
+        // when both sides are full-width; otherwise one per row segment
+        // between owner column boundaries (strided transfers).
+        let mut plan = Vec::new();
+        let full_width = st.dist.is_full_width() && new_dist.is_full_width();
+        for np in new_parts.iter().filter(|np| np.rows > 0 && np.cols > 0) {
+            if full_width {
                 for run in span_runs(np, n_rows) {
                     for (src, src_row, s, rows) in owner_row_copies(&st.parts, np, run) {
                         plan.push(PlannedCopy {
@@ -1138,21 +1096,13 @@ where
                         });
                     }
                 }
-            }
-            issue_copies(ctx, &plan)?;
-        } else {
-            // A column boundary is involved: copy row by row, splitting
-            // each row at owner column boundaries (strided transfers).
-            // These copies are not planned: each is device-serializing and
-            // charged every device's worth of contention.
-            let concurrent = ctx.n_devices().max(1);
-            for np in live {
+            } else {
                 for s in 0..np.span_rows() {
-                    let g = np.global_row(s, n_rows);
-                    fill_span_row_from_owners(ctx, &st.parts, np, s, g, concurrent)?;
+                    owner_cell_copies(&st.parts, np, s, np.global_row(s, n_rows), &mut plan);
                 }
             }
         }
+        issue_copies(ctx, &plan, CopyOrder::Rounds)?;
         ctx.sync();
     }
 
@@ -1163,8 +1113,9 @@ where
     Ok(())
 }
 
-/// One copy of a planned redistribution: `len` elements from `src` at
-/// `src_off` into `dst` at `dst_off`.
+/// One copy of a planned transfer (a redistribution, a merge or a halo
+/// exchange): `len` elements from `src` at `src_off` into `dst` at
+/// `dst_off`.
 struct PlannedCopy<T: Scalar> {
     src: Buffer<T>,
     src_off: usize,
@@ -1173,46 +1124,80 @@ struct PlannedCopy<T: Scalar> {
     len: usize,
 }
 
-/// Issue a redistribution's planned copies on the copy engines and return
-/// their events, in plan order.
+/// What the copies of a plan wait for, and in which order they are issued.
+#[derive(Clone, Copy)]
+pub(crate) enum CopyOrder<'a> {
+    /// Lock-step: each involved device is joined once with a marker, and
+    /// every copy waits for exactly its source's and destination's markers.
+    /// Same-device copies go first; the cross-device ones follow in rounds
+    /// of disjoint device pairs ([`pair_rounds`]), the lower device's
+    /// copies of a pair first, in plan order.
+    Rounds,
+    /// Event-ordered: per device, the producer events a copy touching that
+    /// device must wait for — its source's, and its destination's, which
+    /// also fence the write-after-read hazard against earlier readers of
+    /// the rows the copy overwrites. Copies are issued in plan order.
+    Producers(&'a [Vec<Event>]),
+}
+
+/// The events of an issued copy plan.
+struct IssuedCopies {
+    /// Per planned copy, in plan order.
+    copies: Vec<Event>,
+    /// Per device, the marker that joined it under [`CopyOrder::Rounds`]
+    /// (`None` for devices no copy touched, and under `Producers`).
+    markers: Vec<Option<Event>>,
+}
+
+/// Issue a plan of copies on the copy engines under `order` — the one
+/// path every device-to-device copy of this module takes.
 ///
-/// Each involved device is joined once with a marker, and every copy waits
-/// for exactly its source's and destination's markers — not for whole
-/// devices — so independent copies overlap. Same-device copies go first;
-/// the cross-device ones follow in rounds of disjoint device pairs
-/// ([`pair_rounds`]). Within a pair the lower device's copies go first, in
-/// plan order: a merge folds its sources in ascending device order, so the
+/// Copies wait for events, not for whole devices, so independent copies
+/// overlap. Under [`CopyOrder::Rounds`] the lower device of a pair goes
+/// first because a merge folds its sources in ascending device order: the
 /// copy a fold chain needs first tends to land first. A cross-device copy
-/// holds both devices' copy engines, so at most ⌊n/2⌋ are ever in flight:
-/// every copy is charged that much host-bus contention, or the number of
-/// cross-device copies in the plan if that is smaller.
-fn issue_copies<T: Scalar>(ctx: &Context, plan: &[PlannedCopy<T>]) -> Result<Vec<Event>> {
+/// holds both devices' copy engines, so at
+/// most ⌊n/2⌋ are ever in flight: every copy is charged that much host-bus
+/// contention, or the number of cross-device copies in the plan if that is
+/// smaller.
+fn issue_copies<T: Scalar>(
+    ctx: &Context,
+    plan: &[PlannedCopy<T>],
+    order: CopyOrder<'_>,
+) -> Result<IssuedCopies> {
     let n = ctx.n_devices();
     let devices = |i: usize| (plan[i].src.device().0, plan[i].dst.device().0);
-    let mut order: Vec<usize> = (0..plan.len())
-        .filter(|&i| devices(i).0 == devices(i).1)
-        .collect();
-    let concurrent = (plan.len() - order.len()).min((n / 2).max(1));
-    for (lo, hi) in pair_rounds(n).into_iter().flatten() {
-        for dir in [(lo, hi), (hi, lo)] {
-            order.extend((0..plan.len()).filter(|&i| devices(i) == dir));
+    let cross = (0..plan.len()).filter(|&i| devices(i).0 != devices(i).1);
+    let concurrent = cross.count().min((n / 2).max(1));
+    let sequence: Vec<usize> = match order {
+        CopyOrder::Producers(_) => (0..plan.len()).collect(),
+        CopyOrder::Rounds => {
+            let mut sequence: Vec<usize> = (0..plan.len())
+                .filter(|&i| devices(i).0 == devices(i).1)
+                .collect();
+            for (lo, hi) in pair_rounds(n).into_iter().flatten() {
+                for dir in [(lo, hi), (hi, lo)] {
+                    sequence.extend((0..plan.len()).filter(|&i| devices(i) == dir));
+                }
+            }
+            sequence
         }
-    }
+    };
 
     let mut markers: Vec<Option<Event>> = vec![None; n];
     let mut events: Vec<Option<Event>> = vec![None; plan.len()];
-    for i in order {
+    for i in sequence {
         let (s, d) = devices(i);
-        let mut join = |dev: usize| {
-            markers[dev]
+        let mut wait_for = |dev: usize| match order {
+            CopyOrder::Rounds => vec![markers[dev]
                 .get_or_insert_with(|| ctx.queue(dev).enqueue_marker())
-                .clone()
+                .clone()],
+            CopyOrder::Producers(producers) => producers[dev].clone(),
         };
-        let deps = if s == d {
-            vec![join(s)]
-        } else {
-            vec![join(s), join(d)]
-        };
+        let mut deps = wait_for(s);
+        if s != d {
+            deps.extend(wait_for(d));
+        }
         let c = &plan[i];
         events[i] = Some(ctx.platform().copy(
             &c.src,
@@ -1224,10 +1209,13 @@ fn issue_copies<T: Scalar>(ctx: &Context, plan: &[PlannedCopy<T>]) -> Result<Vec
             After::Events(&deps),
         )?);
     }
-    Ok(events
-        .into_iter()
-        .map(|e| e.expect("every planned copy is issued"))
-        .collect())
+    Ok(IssuedCopies {
+        copies: events
+            .into_iter()
+            .map(|e| e.expect("every planned copy is issued"))
+            .collect(),
+        markers,
+    })
 }
 
 /// Rounds of disjoint device pairs `(lo, hi)`, `lo < hi`, that together
@@ -1325,7 +1313,7 @@ where
         }
         folds.push((np, len, seed, temps));
     }
-    let copied = issue_copies(ctx, &plan)?;
+    let copied = issue_copies(ctx, &plan, CopyOrder::Rounds)?.copies;
 
     for (np, len, seed, temps) in folds {
         let mut last = copied[seed].clone();
@@ -1822,6 +1810,14 @@ mod tests {
         assert_eq!(c.halo_exchange_count(), base, "no halo rows, no event");
     }
 
+    /// Did a lock-step exchange over `parts` count as an exchange event?
+    fn exchange(c: &Context, parts: &[MatrixPart<f32>], rows: usize, skip_wrapped: bool) -> bool {
+        let before = c.halo_exchange_count();
+        let cols = parts[0].cols;
+        exchange_part_halos(c, parts, rows, cols, skip_wrapped, CopyOrder::Rounds).unwrap();
+        c.halo_exchange_count() == before + 1
+    }
+
     #[test]
     fn skipping_wrapped_runs_moves_fewer_transfers() {
         // 4 parts with halo 1: a full exchange crosses devices 8 times; a
@@ -1834,10 +1830,10 @@ mod tests {
             .unwrap();
         let parts = m.parts().unwrap();
         let before = c.platform().stats_snapshot();
-        assert!(exchange_part_halos(&c, &parts, rows, cols, true).unwrap());
+        assert!(exchange(&c, &parts, rows, true));
         let skipping = (c.platform().stats_snapshot() - before).d2d_transfers;
         let before = c.platform().stats_snapshot();
-        assert!(exchange_part_halos(&c, &parts, rows, cols, false).unwrap());
+        assert!(exchange(&c, &parts, rows, false));
         let full = (c.platform().stats_snapshot() - before).d2d_transfers;
         assert_eq!(full, 8);
         assert_eq!(skipping, 6);
@@ -1854,8 +1850,8 @@ mod tests {
         m.set_distribution(MatrixDistribution::RowBlock { halo: 1 })
             .unwrap();
         let parts = m.parts().unwrap();
-        assert!(!exchange_part_halos(&c, &parts, rows, cols, true).unwrap());
-        assert!(exchange_part_halos(&c, &parts, rows, cols, false).unwrap());
+        assert!(!exchange(&c, &parts, rows, true));
+        assert!(exchange(&c, &parts, rows, false));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! `radius`-neighbourhood around it. Under a
 //! [`MatrixDistribution::RowBlock`] distribution the neighbourhood crosses
 //! device boundaries; the halo rows the distribution maintains (refreshed
-//! by an automatic [`Matrix::halo_exchange`] when stale) provide them
-//! without gathering the whole matrix anywhere.
+//! by an automatic [`Matrix::halo_exchange`] when stale — one planned copy
+//! list, see [`crate::matrix`]) provide them without gathering the whole
+//! matrix anywhere.
 //!
 //! Out-of-matrix accesses follow the [`Boundary2D`] mode: `Neumann`
 //! replicates the edge element (zero-gradient), `Wrap` treats the matrix as
@@ -18,8 +19,7 @@ use crate::codegen::{self, FusedStage, UserFn};
 use crate::context::Context;
 use crate::error::Result;
 use crate::matrix::{
-    exchange_part_halos, exchange_part_halos_overlapped, Matrix, MatrixDistribution, MatrixPart,
-    UploadChunk,
+    exchange_part_halos, CopyOrder, Matrix, MatrixDistribution, MatrixPart, UploadChunk,
 };
 use crate::skeletons::pipeline::{Pipeline, PipelineExpr, StencilLauncher};
 use std::marker::PhantomData;
@@ -312,10 +312,11 @@ where
     ///
     /// * **no intermediate matrices** — two buffers per device total,
     ///   instead of one fresh allocation per pass;
-    /// * **one batched halo exchange per iteration** — issued directly on
-    ///   the part buffers, without re-synchronising the host in between,
-    ///   and (under `Neumann`/`Zero` boundaries) without the wrapped
-    ///   matrix-edge rows only `Wrap` ever reads;
+    /// * **one planned halo exchange per iteration** — one copy list
+    ///   issued directly on the part buffers through the matrix's copy
+    ///   planner, without re-synchronising the host in between, and (under
+    ///   `Neumann`/`Zero` boundaries) without the wrapped matrix-edge rows
+    ///   only `Wrap` ever reads;
     /// * **one cached kernel across all `n` launches** — the same program
     ///   [`Stencil2D::apply`] launches is built once and rebound to the
     ///   swapped buffers each round.
@@ -328,10 +329,14 @@ where
     /// than the boundary band away from the part edges — they read no halo
     /// rows) and a **boundary** launch (the top and bottom bands, packed
     /// into one kernel). The halo exchange for round *r* is issued on the
-    /// **copy stream** with events tying it to round *r−1*'s boundary
-    /// kernels, so the copies run on the devices' copy engines *underneath*
-    /// round *r*'s interior kernels; only the boundary launch waits for
-    /// them. Results are bit-identical to the serial schedule
+    /// copy engines with events tying each copy to round *r−1*'s boundary
+    /// kernels on its two devices, so the copies run *underneath* round
+    /// *r*'s interior kernels; only the boundary launch waits for them.
+    /// The copies are issued in ascending part order rather than in
+    /// lock-step pair rounds: each device's copies start as soon as its
+    /// own producers finish, which lets the loop settle into a
+    /// phase-shifted wavefront instead of forcing the devices into
+    /// lock-step. Results are bit-identical to the serial schedule
     /// ([`Stencil2D::iterate_serial`]) — same kernels, same data, only the
     /// modeled timeline changes — and exactly the same exchange events are
     /// counted. Parts that receive no exchanged rows in a round (one
@@ -342,10 +347,12 @@ where
         self.iterate_impl(input, n, true)
     }
 
-    /// The serial schedule of [`Stencil2D::iterate`]: one kernel per part
-    /// per round, each round's halo exchange device-serializing on the main
-    /// timeline (the pre-overlap behaviour, kept as the measurable
-    /// baseline for `fig_overlap` and the overlap property suite).
+    /// The serial schedule of [`Stencil2D::iterate`]: one device-serializing
+    /// kernel per part per round, each round's halo exchange a lock-step
+    /// copy plan (each device joined by a marker, rounds of disjoint device
+    /// pairs) between them — the pre-overlap behaviour, kept as the
+    /// measurable baseline for `fig_overlap` and the overlap property
+    /// suite.
     pub fn iterate_serial(&self, input: &Matrix<T>, n: usize) -> Result<Matrix<T>> {
         self.iterate_impl(input, n, false)
     }
@@ -411,35 +418,23 @@ where
         for round in 1..=n {
             if !overlap {
                 if round > 1 {
-                    // The previous round wrote only owned rows; one batched
-                    // exchange refreshes this round's input halos. The
-                    // device clocks already order the copies against the
+                    // The previous round wrote only owned rows; one
+                    // lock-step exchange refreshes this round's input
+                    // halos. Its join markers order the copies against the
                     // producing kernels — the host never blocks between
                     // rounds.
-                    if exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped)? {
-                        ctx.note_halo_exchange();
-                    }
+                    exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped, CopyOrder::Rounds)?;
                 }
                 for (pi, (ip, op)) in src.iter().zip(&dst).enumerate() {
                     launcher.launch(pi, ip, op, &[(0, ip.rows)], After::Device)?;
                 }
             } else {
-                // Exchange round r's halos on the copy stream, ordered only
-                // against round r-1's boundary kernels: the copies run
+                // Exchange round r's halos on the copy engines, ordered
+                // only against round r-1's boundary kernels: the copies run
                 // under this round's interior launches.
                 let exchange_events = if round > 1 {
-                    let (exchanged, events) = exchange_part_halos_overlapped(
-                        &ctx,
-                        &src,
-                        n_rows,
-                        cols,
-                        skip_wrapped,
-                        &producers,
-                    )?;
-                    if exchanged {
-                        ctx.note_halo_exchange();
-                    }
-                    events
+                    let order = CopyOrder::Producers(&producers);
+                    exchange_part_halos(&ctx, &src, n_rows, cols, skip_wrapped, order)?.into_part
                 } else {
                     vec![Vec::new(); src.len()]
                 };
@@ -460,45 +455,9 @@ where
                         // nothing to hide, launch the whole part at once.
                         launcher.launch(idx, ip, op, &[(0, ip.rows)], After::Events(base_deps))?
                     } else {
-                        // The boundary band must cover both the rows that
-                        // read exchanged halos (radius) and the rows the
-                        // neighbours' halos copy out next round (halo).
-                        let band = self
-                            .radius
-                            .max(ip.halo_above)
-                            .max(ip.halo_below)
-                            .min(ip.rows);
                         let mut boundary_deps = exchange_events[idx].clone();
                         boundary_deps.extend_from_slice(base_deps);
-                        if 2 * band >= ip.rows {
-                            // No interior: the part is all boundary.
-                            launcher.launch(
-                                idx,
-                                ip,
-                                op,
-                                &[(0, ip.rows)],
-                                After::Events(&boundary_deps),
-                            )?
-                        } else {
-                            // Interior first (it has no event dependencies,
-                            // so the in-order queue starts it immediately
-                            // while the exchange still runs), then the top
-                            // and bottom bands as one dependent launch.
-                            launcher.launch(
-                                idx,
-                                ip,
-                                op,
-                                &[(band, ip.rows - 2 * band)],
-                                After::Events(base_deps),
-                            )?;
-                            launcher.launch(
-                                idx,
-                                ip,
-                                op,
-                                &[(0, band), (ip.rows - band, band)],
-                                After::Events(&boundary_deps),
-                            )?
-                        }
+                        launcher.launch_split(idx, ip, op, base_deps, &boundary_deps)?
                     };
                     if let Some(ev) = produced {
                         // The boundary launch is enqueued last on the
